@@ -93,10 +93,12 @@ fn bench_lod(c: &mut Criterion) {
             let o = birdseye_options(LodMode::Off);
             b.iter(|| black_box(jedule_render::layout(s, &o)))
         });
-        // The columnar (SoA) hot path: layout served from a warmed
-        // PreparedSchedule, single-threaded so the ratio against the
-        // cold `layout_only_*` rows above isolates the storage layout
-        // (it backs BENCH_birdseye.json's `soa_layout_1m_speedup`).
+        // Layout served from a warmed PreparedSchedule, single-threaded.
+        // The `layout_only_*` rows above measure a one-shot wrap of the
+        // bare schedule (columns and extents built per call), so the gap
+        // is the per-call cost of that wrap. BENCH_birdseye.json's
+        // `soa_layout_1m_speedup` was recorded against the scalar
+        // `Vec<Task>` layout those rows used to measure, since deleted.
         let prep = PreparedSchedule::new(s.clone());
         prep.warm();
         g.bench_with_input(

@@ -61,9 +61,9 @@ fn parse_schedule_src(
     jedule_xmlio::parse_any_parallel(src, Some(p), threads).map_err(|e| format!("{path}: {e}"))
 }
 
-/// Loads a schedule as a [`PreparedSchedule`], preferring a fresh
-/// `<input>.jpack` sidecar over re-parsing the text (the `--pack-sidecar`
-/// mode of `render` / `view` / `compare`):
+/// Loads a schedule as a [`PreparedSchedule`](jedule_core::PreparedSchedule),
+/// preferring a fresh `<input>.jpack` sidecar over re-parsing the text (the
+/// `--pack-sidecar` mode of `render` / `view` / `compare`):
 ///
 /// * a sidecar whose stored digest matches the input's bytes is mapped
 ///   and served directly — the text is never parsed and (unless the
@@ -75,7 +75,7 @@ fn parse_schedule_src(
 pub fn load_prepared_sidecar(
     path: &str,
     threads: usize,
-) -> Result<jedule_core::PreparedSchedule, String> {
+) -> Result<jedule_core::PreparedSchedule<'static>, String> {
     use jedule_core::snap;
     let src = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     let digest = snap::source_digest(src.as_bytes());

@@ -97,9 +97,8 @@ pub fn run(argv: &[String]) -> Result<(), String> {
         opts.colormap = opts.colormap.to_grayscale();
     }
 
-    // The prepared path is pixel-identical to a cold render (property-
-    // tested) and its lazily built caches carry the `prepare.*` spans,
-    // so a profiled batch render shows every pipeline stage.
+    // The bundle's lazily built caches carry the `prepare.*` spans, so a
+    // profiled batch render shows every pipeline stage.
     let bytes = render_prepared(&prepared, &opts);
     sink.finish()?;
     match output {

@@ -29,7 +29,7 @@ pub struct Session {
     /// zoom/pan redraw reuses the prepared data instead of rebuilding it
     /// per frame (the whole point of the interactive mode staying fast
     /// on million-task traces).
-    schedule: PreparedSchedule,
+    schedule: PreparedSchedule<'static>,
     view: ViewState,
     gray: bool,
     cmap: jedule_core::ColorMap,

@@ -29,8 +29,16 @@ fn jedule_with_stdin(args: &[&str], stdin: &str) -> Output {
     child.wait_with_output().expect("binary exits")
 }
 
+/// A fresh directory per call: tests run in parallel and write files of
+/// the same names (`demo.jed`, ...), so they must not share one.
 fn tmp() -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("jedule_cli_it_{}", std::process::id()));
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    let dir = std::env::temp_dir().join(format!(
+        "jedule_cli_it_{}_{}",
+        std::process::id(),
+        NEXT.fetch_add(1, Ordering::Relaxed)
+    ));
     std::fs::create_dir_all(&dir).expect("temp dir");
     dir
 }

@@ -43,7 +43,7 @@ pub struct Seg {
 }
 
 /// Parallel per-task columns plus the CSR segment arrays. See the
-/// module docs for the layout rationale. Numeric columns are [`Col`]s:
+/// module docs for the layout rationale. Numeric columns are `Col`s:
 /// owned vectors when built from a parsed schedule, zero-copy borrows
 /// into a mapped `.jpack` when loaded from a snapshot — consumers see
 /// `&[T]` either way.

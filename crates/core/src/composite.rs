@@ -75,28 +75,18 @@ struct Segment {
 /// maps to resolve composite colors.
 pub fn composite_tasks(schedule: &Schedule, opts: &CompositeOptions) -> Vec<Task> {
     let index = ScheduleIndex::build_with_hosts(schedule);
-    composite_tasks_indexed(schedule, &index, opts)
-}
-
-/// [`composite_tasks`] against a pre-built interval index (must have host
-/// rows). Callers that already hold an index — the render pipeline builds
-/// one for window culling — avoid re-bucketing every task per host.
-pub fn composite_tasks_indexed(
-    schedule: &Schedule,
-    index: &ScheduleIndex,
-    opts: &CompositeOptions,
-) -> Vec<Task> {
-    composite_impl(schedule, index, opts, &|ti| {
+    composite_impl(schedule, &index, opts, &|ti| {
         let t = &schedule.tasks[ti];
         (t.start, t.end)
     })
 }
 
-/// [`composite_tasks_indexed`] with task spans read from the columnar
-/// view's contiguous `starts`/`ends` slices instead of striding across
-/// `Vec<Task>` structs. The column values are bit-exact copies of the
-/// task fields, so the output is identical.
-pub fn composite_tasks_columnar(
+/// [`composite_tasks`] against a pre-built host-row index, with task
+/// spans read from the columnar view's contiguous `starts`/`ends` slices
+/// instead of striding across `Vec<Task>` structs — the sweep
+/// [`crate::PreparedSchedule::composites`] caches. The column values are
+/// bit-exact copies of the task fields, so the output is identical.
+pub(crate) fn composite_tasks_columnar(
     schedule: &Schedule,
     index: &ScheduleIndex,
     cols: &TaskColumns,
@@ -496,7 +486,7 @@ mod tests {
     }
 
     #[test]
-    fn columnar_matches_indexed_for_any_worker_count() {
+    fn columnar_matches_task_walk_for_any_worker_count() {
         let mut tasks = Vec::new();
         for i in 0..40u32 {
             let h = i % 8;
@@ -514,7 +504,7 @@ mod tests {
         let s = schedule_with(tasks);
         let index = ScheduleIndex::build_with_hosts(&s);
         let cols = TaskColumns::build(&s);
-        let base = composite_tasks_indexed(&s, &index, &CompositeOptions::default());
+        let base = composite_tasks(&s, &CompositeOptions::default().with_threads(1));
         assert!(!base.is_empty());
         for threads in [1, 2, 5] {
             let opts = CompositeOptions::default().with_threads(threads);

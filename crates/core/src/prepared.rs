@@ -1,10 +1,10 @@
-//! A schedule prepared for repeated serving.
+//! A schedule prepared for rendering.
 //!
 //! Interactive trace browsing (zoom, pan, repeated `--window` renders)
-//! asks for many views of one schedule, but every cold render pays the
-//! same per-schedule fixed work again: a full extent scan, an interval
-//! index build, a legend-type scan and per-task type classification.
-//! At a million tasks that fixed work dominates a windowed render — the
+//! asks for many views of one schedule, and every view needs the same
+//! per-schedule fixed work: an extent scan, an interval index, the
+//! legend's kind list and a columnar copy of the task spans. At a
+//! million tasks that fixed work dominates a windowed render — the
 //! tasks actually drawn are a tiny fraction of the trace.
 //!
 //! [`PreparedSchedule`] bundles a schedule with lazily built, cached
@@ -14,9 +14,16 @@
 //! * the per-cluster/per-host [`ScheduleIndex`] (window culling,
 //!   composite sweep, hit-testing),
 //! * global and per-cluster time extents for both [`AlignMode`]s,
-//! * the distinct task kinds in first-appearance order plus a per-task
-//!   kind slot (legend + classify/colormap memo), and
+//! * the columnar [`TaskColumns`] view, which also carries the distinct
+//!   task kinds in first-appearance order plus a per-task kind slot
+//!   (legend + classify/colormap memo), and
 //! * the default composite-task sweep.
+//!
+//! It is also the only thing the renderer draws from. A bundle wraps an
+//! owned schedule ([`PreparedSchedule::new`]), a borrowed one
+//! ([`PreparedSchedule::borrowed`], the one-shot form behind
+//! `render(&Schedule)`, no clone) or a loaded `.jpack` snapshot
+//! ([`PreparedSchedule::from_pack`], caches pre-seeded).
 //!
 //! All caches are [`OnceLock`]s: a `PreparedSchedule` is `Send + Sync`,
 //! costs nothing beyond the schedule itself until a consumer asks for a
@@ -33,14 +40,6 @@ use crate::obs;
 use crate::snap::{PackNames, PackedSchedule};
 use std::sync::OnceLock;
 
-/// Cached extents: the global one plus each cluster's local one, stored
-/// in cluster declaration order.
-#[derive(Debug)]
-struct Extents {
-    global: Option<TimeExtent>,
-    per_cluster: Vec<Option<TimeExtent>>,
-}
-
 /// A [`Schedule`] plus memoized derived data for serving many renders.
 ///
 /// ```
@@ -51,39 +50,52 @@ struct Extents {
 /// assert!(prep.kinds().is_empty());
 /// ```
 #[derive(Debug)]
-pub struct PreparedSchedule {
-    /// Where the tasks come from. `Owned` means `schedule` was set at
-    /// construction; `Packed` keeps the cheap structure (clusters, meta,
-    /// lazily-read names) and materializes `schedule` only on demand.
-    source: Source,
-    schedule: OnceLock<Schedule>,
+pub struct PreparedSchedule<'a> {
+    source: Source<'a>,
     index: OnceLock<ScheduleIndex>,
-    extents: OnceLock<Extents>,
+    global: OnceLock<Option<TimeExtent>>,
+    /// Each cluster's local extent, in cluster declaration order.
+    per_cluster: OnceLock<Vec<Option<TimeExtent>>>,
     columns: OnceLock<TaskColumns>,
     composites: OnceLock<Vec<Task>>,
 }
 
+/// Where the tasks come from. Owned and borrowed sources hold the full
+/// `Schedule` from the start; a packed source keeps the cheap structure
+/// (clusters, meta, lazily read names) and materializes `schedule` only
+/// on demand.
 #[derive(Debug)]
-enum Source {
-    Owned,
+enum Source<'a> {
+    Owned(Schedule),
+    Borrowed(&'a Schedule),
     Packed {
         clusters: Vec<Cluster>,
         meta: MetaInfo,
         names: PackNames,
+        schedule: OnceLock<Schedule>,
     },
 }
 
-impl PreparedSchedule {
+impl<'a> PreparedSchedule<'a> {
     /// Wraps a schedule. No derived data is built yet — each cache fills
     /// on first use.
     pub fn new(schedule: Schedule) -> Self {
-        let cell = OnceLock::new();
-        let _ = cell.set(schedule);
+        PreparedSchedule::with_source(Source::Owned(schedule))
+    }
+
+    /// Wraps a borrowed schedule without cloning it. Caches fill lazily
+    /// exactly as for [`Self::new`], so a one-shot render of a bare
+    /// schedule pays only for the pieces it reads.
+    pub fn borrowed(schedule: &'a Schedule) -> Self {
+        PreparedSchedule::with_source(Source::Borrowed(schedule))
+    }
+
+    fn with_source(source: Source<'a>) -> Self {
         PreparedSchedule {
-            source: Source::Owned,
-            schedule: cell,
+            source,
             index: OnceLock::new(),
-            extents: OnceLock::new(),
+            global: OnceLock::new(),
+            per_cluster: OnceLock::new(),
             columns: OnceLock::new(),
             composites: OnceLock::new(),
         }
@@ -107,23 +119,15 @@ impl PreparedSchedule {
             names,
             ..
         } = packed;
-        let prep = PreparedSchedule {
-            source: Source::Packed {
-                clusters,
-                meta,
-                names,
-            },
+        let prep = PreparedSchedule::with_source(Source::Packed {
+            clusters,
+            meta,
+            names,
             schedule: OnceLock::new(),
-            index: OnceLock::new(),
-            extents: OnceLock::new(),
-            columns: OnceLock::new(),
-            composites: OnceLock::new(),
-        };
-        let _ = prep.index.set(index);
-        let _ = prep.extents.set(Extents {
-            global,
-            per_cluster,
         });
+        let _ = prep.index.set(index);
+        let _ = prep.global.set(global);
+        let _ = prep.per_cluster.set(per_cluster);
         let _ = prep.columns.set(columns);
         let _ = prep.composites.set(composites);
         prep
@@ -134,51 +138,53 @@ impl PreparedSchedule {
         matches!(self.source, Source::Packed { .. })
     }
 
-    /// Whether the full `Schedule` has been built. Owned sources are
-    /// materialized by construction; a packed source stays
-    /// unmaterialized until something calls [`Self::schedule`] — tests
-    /// use this to prove the render path never does.
+    /// Whether the full `Schedule` exists. Owned and borrowed sources
+    /// always have it; a packed source stays unmaterialized until
+    /// something calls [`Self::schedule`] — tests use this to prove the
+    /// render path never does.
     pub fn is_materialized(&self) -> bool {
-        self.schedule.get().is_some()
+        match &self.source {
+            Source::Packed { schedule, .. } => schedule.get().is_some(),
+            _ => true,
+        }
     }
 
     /// The wrapped schedule. For packed sources this materializes the
     /// full task list (owned strings, allocations, attrs) on first call;
     /// paths that only render never pay it.
     pub fn schedule(&self) -> &Schedule {
-        if let Some(s) = self.schedule.get() {
-            return s;
-        }
-        self.schedule.get_or_init(|| match &self.source {
-            Source::Owned => unreachable!("owned schedule is set at construction"),
+        match &self.source {
+            Source::Owned(s) => s,
+            Source::Borrowed(s) => s,
             Source::Packed {
                 clusters,
                 meta,
                 names,
-            } => {
+                schedule,
+            } => schedule.get_or_init(|| {
                 let _s = obs::span("prepare.materialize");
                 Schedule {
                     clusters: clusters.clone(),
                     tasks: names.build_tasks(self.columns.get().expect("packed columns preset")),
                     meta: meta.clone(),
                 }
-            }
-        })
+            }),
+        }
     }
 
     /// The clusters, without materializing a packed schedule.
     pub fn clusters(&self) -> &[Cluster] {
         match &self.source {
-            Source::Owned => &self.schedule.get().expect("owned schedule set").clusters,
             Source::Packed { clusters, .. } => clusters,
+            _ => &self.schedule().clusters,
         }
     }
 
     /// The meta info, without materializing a packed schedule.
     pub fn meta(&self) -> &MetaInfo {
         match &self.source {
-            Source::Owned => &self.schedule.get().expect("owned schedule set").meta,
             Source::Packed { meta, .. } => meta,
+            _ => &self.schedule().meta,
         }
     }
 
@@ -186,24 +192,28 @@ impl PreparedSchedule {
     /// (label paths read it straight from the pack's string blob).
     pub fn task_id(&self, ti: usize) -> &str {
         match &self.source {
-            Source::Owned => &self.schedule.get().expect("owned schedule set").tasks[ti].id,
             Source::Packed { names, .. } => names.task_id(ti),
+            _ => &self.schedule().tasks[ti].id,
         }
     }
 
     /// Number of tasks, without materializing a packed schedule.
     pub fn task_count(&self) -> usize {
         match &self.source {
-            Source::Owned => self.schedule.get().expect("owned schedule set").tasks.len(),
             Source::Packed { .. } => self.columns.get().expect("packed columns preset").len(),
+            _ => self.schedule().tasks.len(),
         }
     }
 
-    /// Unwraps the schedule (materializing it for packed sources),
-    /// dropping the caches.
+    /// Unwraps the schedule (materializing a packed source, cloning a
+    /// borrowed one), dropping the caches.
     pub fn into_schedule(self) -> Schedule {
         self.schedule();
-        self.schedule.into_inner().expect("just materialized")
+        match self.source {
+            Source::Owned(s) => s,
+            Source::Borrowed(s) => s.clone(),
+            Source::Packed { schedule, .. } => schedule.into_inner().expect("just materialized"),
+        }
     }
 
     /// The interval index, built with per-host rows on first use (a
@@ -222,35 +232,65 @@ impl PreparedSchedule {
         })
     }
 
+    /// The interval index if it already exists — preset by a pack, built
+    /// by [`Self::warm`] or by an earlier caller — without building it.
+    /// Window culling asks this way: for a one-shot render, building the
+    /// host-row index costs more than the column scan it would save.
+    pub fn index_if_built(&self) -> Option<&ScheduleIndex> {
+        self.index.get()
+    }
+
     /// Eagerly builds every cache a windowed render touches (index,
     /// extents, columns). Useful to move the one-time cost out of the
     /// first frame — e.g. before entering an interactive loop.
     pub fn warm(&self) -> &Self {
         self.index();
-        self.extents();
+        self.global_extent();
+        self.per_cluster_extents();
         self.columns();
         self
     }
 
-    fn extents(&self) -> &Extents {
-        if let Some(built) = self.extents.get() {
+    /// The global `[min start, max end]` extent (`None` when empty),
+    /// equal to [`crate::align::global_extent`] — folded over the
+    /// contiguous start/end columns with the same min/max accumulation.
+    pub fn global_extent(&self) -> Option<TimeExtent> {
+        if let Some(built) = self.global.get() {
+            obs::count("prepared.cache_hit", 1);
+            return *built;
+        }
+        *self.global.get_or_init(|| {
+            let cols = self.columns();
+            let _s = obs::span("prepare.extents");
+            obs::count("prepared.cache_build", 1);
+            let mut global: Option<TimeExtent> = None;
+            for (&start, &end) in cols.starts().iter().zip(cols.ends()) {
+                let g = global.get_or_insert(TimeExtent::new(start, end));
+                g.start = g.start.min(start);
+                g.end = g.end.max(end);
+            }
+            global
+        })
+    }
+
+    /// Each cluster's local extent in declaration order, as
+    /// [`crate::align::cluster_extent`] computes it. Only scaled axes
+    /// read it, so aligned renders never pay its pass.
+    fn per_cluster_extents(&self) -> &[Option<TimeExtent>] {
+        if let Some(built) = self.per_cluster.get() {
             obs::count("prepared.cache_hit", 1);
             return built;
         }
-        self.extents.get_or_init(|| {
+        self.per_cluster.get_or_init(|| {
             let schedule = self.schedule();
             let _s = obs::span("prepare.extents");
             obs::count("prepared.cache_build", 1);
-            // One pass over tasks × allocations computes what
-            // `align::global_extent` + per-cluster `align::cluster_extent`
-            // would, with identical min/max accumulation semantics.
+            // This walks the allocations, not the column segments: an
+            // allocation with an empty host set has no segment but still
+            // counts toward its cluster's extent.
             let slot = |id: u32| schedule.clusters.iter().position(|c| c.id == id);
-            let mut global: Option<TimeExtent> = None;
             let mut per_cluster: Vec<Option<TimeExtent>> = vec![None; schedule.clusters.len()];
             for t in &schedule.tasks {
-                let g = global.get_or_insert(TimeExtent::new(t.start, t.end));
-                g.start = g.start.min(t.start);
-                g.end = g.end.max(t.end);
                 for a in &t.allocations {
                     let Some(ci) = slot(a.cluster) else { continue };
                     let e = per_cluster[ci].get_or_insert(TimeExtent::new(t.start, t.end));
@@ -258,28 +298,18 @@ impl PreparedSchedule {
                     e.end = e.end.max(t.end);
                 }
             }
-            Extents {
-                global,
-                per_cluster,
-            }
+            per_cluster
         })
-    }
-
-    /// The global `[min start, max end]` extent (`None` when empty),
-    /// equal to [`crate::align::global_extent`].
-    pub fn global_extent(&self) -> Option<TimeExtent> {
-        self.extents().global
     }
 
     /// The extent to draw `cluster` with under `mode`, equal to
     /// [`crate::align::extent_for`] — cached instead of rescanned.
     pub fn extent_for(&self, cluster: u32, mode: AlignMode) -> Option<TimeExtent> {
-        let ex = self.extents();
         match mode {
-            AlignMode::Aligned => ex.global,
+            AlignMode::Aligned => self.global_extent(),
             AlignMode::Scaled => {
                 let pos = self.clusters().iter().position(|c| c.id == cluster)?;
-                ex.per_cluster[pos]
+                self.per_cluster_extents()[pos]
             }
         }
     }
@@ -302,17 +332,9 @@ impl PreparedSchedule {
 
     /// The distinct task kinds in order of first appearance — exactly
     /// the list a legend scan over all tasks collects. Served from the
-    /// columnar cache.
+    /// columnar cache, whose `kind_ids` give each task's slot in it.
     pub fn kinds(&self) -> &[String] {
         self.columns().kind_names()
-    }
-
-    /// For each task (by index), the slot of its kind in [`kinds`]
-    /// (`self.kinds()[kind_ids()[ti] as usize] == tasks[ti].kind`).
-    /// Classifiers can resolve each kind against a color map once and
-    /// then look tasks up by slot instead of comparing strings.
-    pub fn kind_ids(&self) -> &[u32] {
-        self.columns().kind_ids()
     }
 
     /// Composite tasks of overlap regions under default
@@ -339,13 +361,13 @@ impl PreparedSchedule {
     }
 }
 
-impl From<Schedule> for PreparedSchedule {
+impl From<Schedule> for PreparedSchedule<'_> {
     fn from(schedule: Schedule) -> Self {
         PreparedSchedule::new(schedule)
     }
 }
 
-impl std::ops::Deref for PreparedSchedule {
+impl std::ops::Deref for PreparedSchedule<'_> {
     type Target = Schedule;
 
     fn deref(&self) -> &Schedule {
@@ -389,6 +411,31 @@ mod tests {
     }
 
     #[test]
+    fn empty_host_allocation_counts_toward_its_cluster_extent() {
+        // An empty host set is a validation warning, not an error: the
+        // task has no column segment on cluster 3 but still stretches
+        // that cluster's scaled extent.
+        let mut s = sched();
+        s.tasks.push(
+            Task::new("e", "computation", 0.25, 9.0)
+                .on(Allocation::new(3, crate::hostset::HostSet::from_hosts([]))),
+        );
+        let p = PreparedSchedule::borrowed(&s);
+        assert_eq!(p.global_extent(), global_extent(&s));
+        for cid in [0u32, 3] {
+            assert_eq!(
+                p.extent_for(cid, AlignMode::Scaled),
+                extent_for(&s, cid, AlignMode::Scaled),
+                "cluster {cid}"
+            );
+        }
+        assert_eq!(
+            p.extent_for(3, AlignMode::Scaled),
+            Some(TimeExtent::new(0.25, 9.0))
+        );
+    }
+
+    #[test]
     fn empty_schedule_extents() {
         let s = ScheduleBuilder::new().cluster(0, "c", 2).build().unwrap();
         let p = PreparedSchedule::new(s.clone());
@@ -410,9 +457,10 @@ mod tests {
             p.kinds(),
             ["computation".to_string(), "transfer".to_string()]
         );
-        assert_eq!(p.kind_ids(), [0, 1, 0]);
+        let ids = p.columns().kind_ids();
+        assert_eq!(ids, [0, 1, 0]);
         for (ti, t) in s.tasks.iter().enumerate() {
-            assert_eq!(p.kinds()[p.kind_ids()[ti] as usize], t.kind);
+            assert_eq!(p.kinds()[ids[ti] as usize], t.kind);
         }
     }
 
@@ -465,6 +513,6 @@ mod tests {
     #[test]
     fn prepared_is_send_and_sync() {
         fn check<T: Send + Sync>() {}
-        check::<PreparedSchedule>();
+        check::<PreparedSchedule<'static>>();
     }
 }

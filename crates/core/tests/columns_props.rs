@@ -1,12 +1,12 @@
 //! Property tests of the columnar task view: [`TaskColumns`] must be a
 //! faithful struct-of-arrays replay of `Vec<Task>` — same spans, same
 //! kind slots, same host-lane segments in the same walk order — and the
-//! columnar composite sweep must reproduce the indexed sweep exactly for
-//! every worker count.
+//! columnar composite sweep a [`PreparedSchedule`] caches must reproduce
+//! the task-walk sweep exactly, whatever worker count the walk uses.
 
 use jedule_core::{
-    composite_tasks_columnar, composite_tasks_indexed, Allocation, CompositeOptions, HostSet,
-    Schedule, ScheduleBuilder, ScheduleIndex, Task, TaskColumns,
+    composite_tasks, Allocation, CompositeOptions, HostSet, PreparedSchedule, Schedule,
+    ScheduleBuilder, Task, TaskColumns,
 };
 use proptest::prelude::*;
 
@@ -79,19 +79,16 @@ proptest! {
         prop_assert_eq!(names, s.task_types());
     }
 
-    /// The columnar composite sweep equals the indexed sweep — content
-    /// and order — for every worker count.
+    /// The bundle's columnar composite sweep equals the task-walk sweep
+    /// — content and order — for every worker count of the walk.
     #[test]
-    fn columnar_composites_match_indexed(
+    fn columnar_composites_match_task_walk(
         s in arb_schedule(),
         threads_idx in 0usize..3,
     ) {
         let threads = [1usize, 2, 5][threads_idx];
-        let index = ScheduleIndex::build_with_hosts(&s);
-        let cols = TaskColumns::build(&s);
-        let base = composite_tasks_indexed(&s, &index, &CompositeOptions::default());
-        let opts = CompositeOptions::default().with_threads(threads);
-        let got = composite_tasks_columnar(&s, &index, &cols, &opts);
-        prop_assert_eq!(got, base);
+        let base = composite_tasks(&s, &CompositeOptions::default().with_threads(threads));
+        let prep = PreparedSchedule::borrowed(&s);
+        prop_assert_eq!(prep.composites(), base.as_slice());
     }
 }

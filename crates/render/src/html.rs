@@ -21,11 +21,11 @@
 //! to [`TASK_EMBED_CAP`] tasks — the task list the tooltip hit test scans
 //! (latest start wins, like `ViewState::hit_test`).
 
-use crate::layout::{frame_geometry, frame_geometry_prepared, FrameGeom};
+use crate::layout::frame_geometry;
 use crate::options::RenderOptions;
 use crate::scene::Scene;
 use crate::svg;
-use jedule_core::{PreparedSchedule, Schedule};
+use jedule_core::PreparedSchedule;
 
 /// Above this many tasks the meta JSON omits the per-task list (and sets
 /// `"truncated": true`): a million-task bird's-eye page should not carry
@@ -83,7 +83,7 @@ fn push_num(out: &mut String, v: f64) {
     }
 }
 
-/// The explorer boot/`/meta` JSON for a schedule under `opts`.
+/// The explorer boot/`/meta` JSON for a prepared schedule under `opts`.
 ///
 /// Shape (`jedule-meta-v1`):
 ///
@@ -108,18 +108,12 @@ fn push_num(out: &mut String, v: f64) {
 /// ([`frame_geometry`]); a panel with nothing scheduled omits `t0`/`t1`.
 /// `extent` is the union of the panel extents (`null` when empty).
 /// `tasks` is present only while `taskCount <= TASK_EMBED_CAP`.
-pub fn meta_json(schedule: &Schedule, opts: &RenderOptions) -> String {
-    meta_json_impl(schedule, &frame_geometry(schedule, opts), opts)
-}
-
-/// [`meta_json`] served from a [`PreparedSchedule`] (geometry comes from
-/// the bundle's cached extents; the task list materializes the schedule,
-/// like any task-level consumer).
-pub fn meta_json_prepared(prep: &PreparedSchedule, opts: &RenderOptions) -> String {
-    meta_json_impl(prep.schedule(), &frame_geometry_prepared(prep, opts), opts)
-}
-
-fn meta_json_impl(schedule: &Schedule, geom: &FrameGeom, opts: &RenderOptions) -> String {
+///
+/// Everything but `tasks` comes from the bundle's accessors (cached
+/// extents, clusters, task count, kinds), so a pack-backed bundle
+/// materializes its `Schedule` only to embed a task list under the cap.
+pub fn meta_json(prep: &PreparedSchedule, opts: &RenderOptions) -> String {
+    let geom = frame_geometry(prep, opts);
     let mut out = String::with_capacity(4096);
     out.push_str("{\"schema\":\"jedule-meta-v1\",\"width\":");
     push_num(&mut out, geom.width);
@@ -147,13 +141,13 @@ fn meta_json_impl(schedule: &Schedule, geom: &FrameGeom, opts: &RenderOptions) -
         None => out.push_str("null"),
     }
 
-    let n = schedule.tasks.len();
+    let n = prep.task_count();
     out.push_str(&format!(",\"taskCount\":{n}"));
     let truncated = n > TASK_EMBED_CAP;
     out.push_str(&format!(",\"truncated\":{truncated}"));
 
     out.push_str(",\"clusters\":[");
-    for (i, c) in schedule.clusters.iter().enumerate() {
+    for (i, c) in prep.clusters().iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
@@ -192,7 +186,7 @@ fn meta_json_impl(schedule: &Schedule, geom: &FrameGeom, opts: &RenderOptions) -
     out.push(']');
 
     out.push_str(",\"kinds\":[");
-    for (i, kind) in schedule.task_types().iter().enumerate() {
+    for (i, kind) in prep.kinds().iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
@@ -207,7 +201,7 @@ fn meta_json_impl(schedule: &Schedule, geom: &FrameGeom, opts: &RenderOptions) -
 
     if !truncated {
         out.push_str(",\"tasks\":[");
-        for (i, t) in schedule.tasks.iter().enumerate() {
+        for (i, t) in prep.schedule().tasks.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
@@ -266,9 +260,9 @@ fn fill_template(title: &str, boot: &str, svg_doc: &str) -> String {
 /// Renders the static explorer: the scene's SVG document (byte-identical
 /// to [`svg::to_svg`]) inlined into the shared shell, booting from an
 /// embedded [`meta_json`] record. One file, zero external references.
-pub fn to_html(schedule: &Schedule, scene: &Scene, opts: &RenderOptions) -> String {
+pub fn to_html(prep: &PreparedSchedule, scene: &Scene, opts: &RenderOptions) -> String {
     let mut boot = String::from("{\"mode\":\"static\",\"meta\":");
-    boot.push_str(&meta_json(schedule, opts));
+    boot.push_str(&meta_json(prep, opts));
     boot.push('}');
     let title = opts.title.as_deref().unwrap_or("jedule schedule");
     fill_template(title, &boot, &svg::to_svg(scene))
@@ -291,7 +285,7 @@ pub fn explore_shell(file: &str, width: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use jedule_core::{Allocation, ScheduleBuilder, Task};
+    use jedule_core::{Allocation, Schedule, ScheduleBuilder, Task};
 
     fn sched() -> Schedule {
         ScheduleBuilder::new()
@@ -323,7 +317,7 @@ mod tests {
     #[test]
     fn meta_json_shape() {
         let s = sched();
-        let m = meta_json(&s, &RenderOptions::default());
+        let m = meta_json(&PreparedSchedule::borrowed(&s), &RenderOptions::default());
         assert!(m.starts_with("{\"schema\":\"jedule-meta-v1\""));
         assert!(m.contains("\"taskCount\":2"));
         assert!(m.contains("\"truncated\":false"));
@@ -336,19 +330,12 @@ mod tests {
     }
 
     #[test]
-    fn meta_json_matches_prepared() {
-        let s = sched();
-        let prep = PreparedSchedule::new(s.clone());
-        let o = RenderOptions::default();
-        assert_eq!(meta_json(&s, &o), meta_json_prepared(&prep, &o));
-    }
-
-    #[test]
     fn static_page_embeds_exact_svg_and_fills_all_placeholders() {
         let s = sched();
         let o = RenderOptions::default();
-        let scene = crate::layout::layout(&s, &o);
-        let page = to_html(&s, &scene, &o);
+        let prep = PreparedSchedule::borrowed(&s);
+        let scene = crate::layout::layout_prepared(&prep, &o);
+        let page = to_html(&prep, &scene, &o);
         assert!(page.contains(&svg::to_svg(&scene)));
         assert!(!page.contains("__JEDULE_"));
         assert!(page.contains("\"mode\":\"static\""));
@@ -373,7 +360,7 @@ mod tests {
             );
         }
         let s = b.build().unwrap();
-        let m = meta_json(&s, &RenderOptions::default());
+        let m = meta_json(&PreparedSchedule::borrowed(&s), &RenderOptions::default());
         assert!(m.contains("\"truncated\":true"));
         assert!(!m.contains("\"tasks\":["));
     }

@@ -15,9 +15,11 @@
 //! Two mechanisms keep the stage sub-linear in task count for bird's-eye
 //! charts of very large workloads:
 //!
-//! * **time-window culling** — when a `time_window` is set, candidate
-//!   tasks come from a [`ScheduleIndex`] interval query instead of a full
-//!   scan, so zooming into 1% of a trace touches ~1% of the tasks;
+//! * **time-window culling** — when a `time_window` is set and the
+//!   bundle already holds its [`ScheduleIndex`] (a `.jpack` load, after
+//!   [`PreparedSchedule::warm`], or built by this render's composite
+//!   sweep), candidate tasks come from an interval query instead of a
+//!   full scan, so zooming into 1% of a trace touches ~1% of the tasks;
 //! * **level-of-detail aggregation** ([`LodMode`]) — tasks narrower than
 //!   `lod_threshold` pixels on screen are accumulated into a
 //!   per-(host row, pixel column) coverage grid and emitted as one
@@ -31,25 +33,28 @@
 //! exactly one worker in task order, so the same schedule always yields
 //! the same strips for every thread count.
 //!
-//! Renders served from a [`PreparedSchedule`] take a third shortcut: the
-//! hot loops (candidate collection, the LOD probe, task classification,
-//! density binning and direct-rectangle emission) run over the prepared
-//! bundle's columnar [`TaskColumns`] view — contiguous `starts`/`ends`/
-//! `kind_ids` slices plus CSR host-lane segments — instead of striding
-//! across `Vec<Task>` structs, and are chunk-parallelized over the
-//! columns with the `threads`/`JEDULE_THREADS` machinery. The columnar
-//! path is pixel-identical to the cold scalar path (property-tested in
+//! Every layout draws from a [`PreparedSchedule`]. The bare-schedule
+//! entry point [`layout`] wraps its argument with
+//! [`PreparedSchedule::borrowed`] (no clone), so the bundle's caches fill
+//! for that one call; a kept bundle pays them once for every later view.
+//! The hot loops (candidate collection, the LOD probe, task
+//! classification, density binning and direct-rectangle emission) scan
+//! the bundle's columnar [`TaskColumns`] view — contiguous `starts`/
+//! `ends`/`kind_ids` slices plus CSR host-lane segments — instead of
+//! striding across `Vec<Task>` structs, and are chunk-parallelized over
+//! the columns with the `threads`/`JEDULE_THREADS` machinery. A warmed
+//! bundle with a dirty scratch at any thread count draws byte-for-byte
+//! what a one-shot wrap draws (property-tested in
 //! `tests/prepared_props.rs`).
 
 use crate::options::{LodMode, RenderOptions};
 use crate::scene::{text_width, Anchor, Scene};
 use crate::ticks;
-use jedule_core::align::extent_for;
-use jedule_core::composite::{composite_tasks_indexed, ATTR_TYPES, COMPOSITE_KIND};
+use jedule_core::composite::{ATTR_TYPES, COMPOSITE_KIND};
 use jedule_core::parallel::chunk_bounds;
 use jedule_core::{
-    effective_threads, Cluster, Color, ColorPair, CompositeOptions, MetaInfo, PreparedSchedule,
-    Schedule, ScheduleIndex, Task, TaskColumns, TimeExtent,
+    effective_threads, Cluster, Color, ColorPair, PreparedSchedule, Schedule, ScheduleIndex, Task,
+    TaskColumns, TimeExtent,
 };
 
 /// Below this many work items the columnar loops stay sequential: thread
@@ -84,16 +89,17 @@ struct Panel {
 /// The frame sizing a layout run and the HTML explorer both need: the
 /// canvas height, the shared row height, the header block height and the
 /// per-cluster panels with their y positions and drawn extents. One
-/// computation feeds both [`layout_impl`] and [`frame_geometry`], so the
-/// explorer's hit-testing can never drift from the drawn pixels.
+/// computation feeds both [`layout_prepared_scratch`] and
+/// [`frame_geometry`], so the explorer's hit-testing can never drift from
+/// the drawn pixels.
 struct FrameSizes {
     header_h: f64,
     height: f64,
     panels: Vec<Panel>,
 }
 
-fn frame_sizes(src: Src<'_>, opts: &RenderOptions) -> FrameSizes {
-    let visible: Vec<&Cluster> = src
+fn frame_sizes(prep: &PreparedSchedule, opts: &RenderOptions) -> FrameSizes {
+    let visible: Vec<&Cluster> = prep
         .clusters()
         .iter()
         .filter(|c| opts.cluster.is_none_or(|id| id == c.id))
@@ -101,7 +107,7 @@ fn frame_sizes(src: Src<'_>, opts: &RenderOptions) -> FrameSizes {
     let total_rows: u32 = visible.iter().map(|c| c.hosts).sum();
 
     // Header sizing.
-    let meta_lines = if opts.show_meta { src.meta().len() } else { 0 };
+    let meta_lines = if opts.show_meta { prep.meta().len() } else { 0 };
     let header_h = TOP_PAD
         + if opts.title.is_some() { TITLE_H } else { 0.0 }
         + meta_lines as f64 * META_LINE_H;
@@ -123,10 +129,7 @@ fn frame_sizes(src: Src<'_>, opts: &RenderOptions) -> FrameSizes {
     let mut panels: Vec<Panel> = Vec::with_capacity(visible.len());
     for c in &visible {
         y += PANEL_GAP;
-        let mut extent = match src {
-            Src::Prep(p) => p.extent_for(c.id, opts.align),
-            Src::Cold(s) => extent_for(s, c.id, opts.align),
-        };
+        let mut extent = prep.extent_for(c.id, opts.align);
         if let Some((t0, t1)) = opts.time_window {
             if t1 > t0 {
                 extent = Some(TimeExtent::new(t0, t1));
@@ -176,19 +179,10 @@ pub struct FrameGeom {
     pub panels: Vec<PanelGeom>,
 }
 
-/// Computes the figure geometry [`layout`] would draw for `opts`, without
-/// building a scene.
-pub fn frame_geometry(schedule: &Schedule, opts: &RenderOptions) -> FrameGeom {
-    frame_geom_impl(Src::Cold(schedule), opts)
-}
-
-/// [`frame_geometry`] served from a [`PreparedSchedule`].
-pub fn frame_geometry_prepared(prep: &PreparedSchedule, opts: &RenderOptions) -> FrameGeom {
-    frame_geom_impl(Src::Prep(prep), opts)
-}
-
-fn frame_geom_impl(src: Src<'_>, opts: &RenderOptions) -> FrameGeom {
-    let sizes = frame_sizes(src, opts);
+/// Computes the figure geometry [`layout_prepared`] would draw for
+/// `opts`, without building a scene.
+pub fn frame_geometry(prep: &PreparedSchedule, opts: &RenderOptions) -> FrameGeom {
+    let sizes = frame_sizes(prep, opts);
     let plot_x = LEFT_MARGIN;
     let plot_w = (opts.width - LEFT_MARGIN - RIGHT_MARGIN).max(10.0);
     FrameGeom {
@@ -240,62 +234,25 @@ impl LayoutScratch {
     }
 }
 
-/// What a layout reads from: a bare schedule (the cold scalar path) or a
-/// prepared bundle. Prepared layouts go through the bundle's accessors
-/// exclusively — clusters, meta, columns, cached index, task ids — so a
-/// pack-backed `PreparedSchedule` renders without ever materializing its
-/// `Vec<Task>`.
-#[derive(Clone, Copy)]
-enum Src<'a> {
-    Cold(&'a Schedule),
-    Prep(&'a PreparedSchedule),
-}
-
-impl<'a> Src<'a> {
-    fn prep(self) -> Option<&'a PreparedSchedule> {
-        match self {
-            Src::Cold(_) => None,
-            Src::Prep(p) => Some(p),
-        }
-    }
-
-    fn clusters(self) -> &'a [Cluster] {
-        match self {
-            Src::Cold(s) => &s.clusters,
-            Src::Prep(p) => p.clusters(),
-        }
-    }
-
-    fn meta(self) -> &'a MetaInfo {
-        match self {
-            Src::Cold(s) => &s.meta,
-            Src::Prep(p) => p.meta(),
-        }
-    }
-
-    fn total_hosts(self) -> u32 {
-        self.clusters().iter().map(|c| c.hosts).sum()
-    }
-}
-
-/// Lays out a schedule into a scene.
+/// Lays out a schedule into a scene: a one-shot wrap of `schedule` in a
+/// [`PreparedSchedule::borrowed`] bundle, drawn by [`layout_prepared`].
 ///
 /// An invalid `time_window` (empty or reversed) is ignored here and the
 /// full extent is drawn; callers that can report errors should run
 /// [`RenderOptions::validate`] first — the CLI does, and rejects such
 /// windows by name.
 pub fn layout(schedule: &Schedule, opts: &RenderOptions) -> Scene {
-    layout_impl(Src::Cold(schedule), opts, &mut LayoutScratch::new())
+    layout_prepared(&PreparedSchedule::borrowed(schedule), opts)
 }
 
-/// [`layout`] served from a [`PreparedSchedule`]: the extent scan, the
-/// interval index, the legend kind list and the composite sweep come from
-/// the prepared bundle's caches instead of being recomputed, and the task
-/// loops scan the cached [`TaskColumns`] — so repeated renders (zoom/pan,
-/// `--window` series, interactive redraws) only pay for what they draw.
-/// Pixel-identical to `layout(prep.schedule(), opts)` — property-tested.
+/// Lays out a [`PreparedSchedule`] into a scene. The extents, the legend
+/// kind list and the composite sweep come from the bundle's caches, and
+/// the task loops scan its [`TaskColumns`] — so repeated renders of one
+/// bundle (zoom/pan, `--window` series, interactive redraws) only pay for
+/// what they draw. A pack-backed bundle renders without materializing
+/// its `Vec<Task>`.
 pub fn layout_prepared(prep: &PreparedSchedule, opts: &RenderOptions) -> Scene {
-    layout_impl(Src::Prep(prep), opts, &mut LayoutScratch::new())
+    layout_prepared_scratch(prep, opts, &mut LayoutScratch::new())
 }
 
 /// [`layout_prepared`] with caller-owned [`LayoutScratch`], for render
@@ -307,16 +264,11 @@ pub fn layout_prepared_scratch(
     opts: &RenderOptions,
     scratch: &mut LayoutScratch,
 ) -> Scene {
-    layout_impl(Src::Prep(prep), opts, scratch)
-}
-
-fn layout_impl(src: Src<'_>, opts: &RenderOptions, scratch: &mut LayoutScratch) -> Scene {
-    let prep = src.prep();
     let FrameSizes {
         header_h,
         height,
         panels,
-    } = frame_sizes(src, opts);
+    } = frame_sizes(prep, opts);
     let mut scene = Scene::new(opts.width, height);
 
     let plot_x = LEFT_MARGIN;
@@ -336,7 +288,7 @@ fn layout_impl(src: Src<'_>, opts: &RenderOptions, scratch: &mut LayoutScratch) 
         y += TITLE_H;
     }
     if opts.show_meta {
-        for (k, v) in src.meta().iter() {
+        for (k, v) in prep.meta().iter() {
             y += META_LINE_H;
             scene.text(
                 plot_x,
@@ -354,119 +306,53 @@ fn layout_impl(src: Src<'_>, opts: &RenderOptions, scratch: &mut LayoutScratch) 
         p.y + p.row_h * f64::from(p.cluster.hosts) + AXIS_H
     });
 
-    // One interval index serves both the composite sweep and window
-    // culling; it is skipped entirely when neither needs it. A prepared
-    // schedule lends its cached index (always with host rows — a strict
-    // superset of the cluster-only index, so per-cluster queries agree).
-    let cull = opts.cull && opts.time_window.is_some_and(|(t0, t1)| t1 > t0);
-    let need_index = cull || opts.show_composites;
-    let index_owned: Option<ScheduleIndex> = match src {
-        Src::Cold(s) if need_index => Some(if opts.show_composites {
-            ScheduleIndex::build_with_hosts(s)
-        } else {
-            ScheduleIndex::build(s)
-        }),
-        _ => None,
-    };
-    let index: Option<&ScheduleIndex> = if need_index {
-        match prep {
-            Some(p) => Some(p.index()),
-            None => index_owned.as_ref(),
-        }
+    // A pack presets the composite sweep; a text bundle runs it once,
+    // building its host-row interval index on the way.
+    let composites: &[Task] = if opts.show_composites {
+        prep.composites()
     } else {
-        None
+        &[]
     };
-    let composites_owned: Vec<Task>;
-    let composites: &[Task] = match (src, index) {
-        _ if !opts.show_composites => &[],
-        (Src::Prep(p), _) => p.composites(),
-        (Src::Cold(s), Some(idx)) => {
-            composites_owned = composite_tasks_indexed(s, idx, &CompositeOptions::default());
-            &composites_owned
-        }
-        (Src::Cold(_), None) => &[], // unreachable: show_composites forces an index
-    };
+    // Window culling queries the index only when the bundle already
+    // holds one: for a one-shot render, building it would cost more than
+    // the column scan it saves, and the scan's clip guard drops the same
+    // tasks.
+    let cull = opts.cull && opts.time_window.is_some_and(|(t0, t1)| t1 > t0);
+    let index = if cull { prep.index_if_built() } else { None };
 
     // The legend lists every task type of the schedule (plus the
     // composite swatch), independent of the time window: zooming must not
     // change what the colors mean. Types only appear once at least one
-    // panel actually plots tasks. A prepared schedule serves its cached
-    // first-appearance kind list outright. Otherwise, without a window the
-    // first drawn panel classifies every task anyway, so it collects the
-    // types as a side effect and the standalone scan (a full extra pass
-    // over the task array) is skipped; a windowed panel only visits the
-    // culled candidates, which is exactly the set the legend must not
-    // depend on.
+    // panel actually plots tasks.
+    let cols = prep.columns();
     let any_extent = panels.iter().any(|p| p.extent.is_some());
     let mut types_seen: Vec<String> = Vec::new();
-    match src {
-        Src::Prep(p) if any_extent => types_seen = p.kinds().to_vec(),
-        Src::Cold(s) if cull && any_extent => {
-            for task in &s.tasks {
-                if !types_seen.contains(&task.kind) {
-                    types_seen.push(task.kind.clone());
-                }
-            }
+    if any_extent {
+        types_seen.extend_from_slice(cols.kind_names());
+        if !composites.is_empty() {
+            types_seen.push(COMPOSITE_KIND.to_string());
         }
-        _ => {}
     }
-    let collect_idx = if cull || prep.is_some() {
-        None
-    } else {
-        panels.iter().position(|p| p.extent.is_some())
-    };
 
     // Resolve each cached kind against this render's color map once;
     // tasks then classify by slot lookup instead of string compares.
-    let kind_table = prep.map(|p| KindTable {
-        pairs: p.kinds().iter().map(|k| opts.colormap.resolve(k)).collect(),
-        ids: p.kind_ids(),
-    });
-    // The columnar task view rides along with the kind table: both come
-    // from the prepared bundle, and the hot panel loops scan the columns
-    // instead of `Vec<Task>` whenever they are available.
-    let columns = prep.map(|p| p.columns());
-
-    let panel_index = if cull { index } else { None };
-    for (pi, panel) in panels.iter().enumerate() {
+    let kinds = KindTable {
+        pairs: cols
+            .kind_names()
+            .iter()
+            .map(|k| opts.colormap.resolve(k))
+            .collect(),
+        ids: cols.kind_ids(),
+    };
+    for panel in &panels {
         draw_panel(
-            &mut scene,
-            src,
-            panel,
-            opts,
-            plot_x,
-            plot_w,
-            composites,
-            panel_index,
-            kind_table.as_ref(),
-            columns,
-            scratch,
-            if collect_idx == Some(pi) {
-                Some(&mut types_seen)
-            } else {
-                None
-            },
+            &mut scene, prep, cols, &kinds, panel, opts, plot_x, plot_w, composites, index, scratch,
         );
-    }
-    if !composites.is_empty() && panels.iter().any(|p| p.extent.is_some()) {
-        types_seen.push(COMPOSITE_KIND.to_string());
     }
 
     // Utilization-profile strip.
     if opts.show_profile {
-        let global_ext = match src {
-            Src::Prep(p) => p.global_extent(),
-            Src::Cold(s) => jedule_core::align::global_extent(s),
-        };
-        draw_profile(
-            &mut scene,
-            src,
-            opts,
-            plot_x,
-            plot_w,
-            y + PANEL_GAP / 2.0,
-            global_ext,
-        );
+        draw_profile(&mut scene, prep, opts, plot_x, plot_w, y + PANEL_GAP / 2.0);
     }
 
     // Legend.
@@ -482,22 +368,18 @@ fn layout_impl(src: Src<'_>, opts: &RenderOptions, scratch: &mut LayoutScratch) 
 }
 
 /// Draws the busy-hosts-over-time step curve as a filled strip.
-/// `global_ext` is the schedule's global extent, supplied by the caller
-/// (possibly from a [`PreparedSchedule`] cache).
-#[allow(clippy::too_many_arguments)]
 fn draw_profile(
     scene: &mut Scene,
-    src: Src<'_>,
+    prep: &PreparedSchedule,
     opts: &RenderOptions,
     plot_x: f64,
     plot_w: f64,
     y: f64,
-    global_ext: Option<TimeExtent>,
 ) {
-    use jedule_core::stats::{utilization_profile, utilization_profile_indexed};
+    use jedule_core::stats::utilization_profile_indexed;
 
     let h = PROFILE_H - 14.0;
-    let Some(ext) = global_ext else {
+    let Some(ext) = prep.global_extent() else {
         return;
     };
     let mut ext = ext;
@@ -507,15 +389,13 @@ fn draw_profile(
         }
     }
     let span = ext.span().max(1e-300);
-    let total = f64::from(src.total_hosts().max(1));
+    let total_hosts: u32 = prep.clusters().iter().map(|c| c.hosts).sum();
+    let total = f64::from(total_hosts.max(1));
     let to_x = |t: f64| plot_x + ((t - ext.start) / span * plot_w).clamp(0.0, plot_w);
 
     scene.rect_stroked(plot_x, y, plot_w, h, Color::WHITE, Color::new(60, 60, 60));
     let fill = Color::new(0x9d, 0xc3, 0xe6);
-    let profile = match src {
-        Src::Cold(s) => utilization_profile(s),
-        Src::Prep(p) => utilization_profile_indexed(p.clusters(), p.index()),
-    };
+    let profile = utilization_profile_indexed(prep.clusters(), prep.index());
     for (i, &(t, busy)) in profile.iter().enumerate() {
         if busy == 0 {
             continue;
@@ -552,8 +432,8 @@ fn draw_profile(
 /// the cell is.
 ///
 /// A grid covers either a whole panel ([`LodGrid::new`]) or one
-/// contiguous **row band** of it ([`LodGrid::band`]). Bands are how the
-/// columnar path parallelizes density binning without losing determinism:
+/// contiguous **row band** of it ([`LodGrid::band`]). Bands are how
+/// density binning is parallelized without losing determinism:
 /// every worker walks the full aggregated-task list in task order but
 /// deposits only into the rows it owns, so each cell receives exactly the
 /// additions the sequential pass would apply, in the same order — `f32`
@@ -613,8 +493,7 @@ impl LodGrid {
     }
 
     /// Deposits `overlap`-weighted color into local rows `lo..hi` of the
-    /// columns spanning `[a, b]` — the one shared inner loop of both the
-    /// scalar and the columnar deposit paths.
+    /// columns spanning `[a, b]`.
     #[inline]
     fn deposit(
         &mut self,
@@ -649,38 +528,12 @@ impl LodGrid {
         (lo, hi)
     }
 
-    /// Accumulates one task; `x0` is the clipped left edge relative to
-    /// the plot area and `w` the clipped on-screen width. A zero-duration
-    /// task still deposits the 0.5 px sliver it would have been drawn
-    /// with. Returns whether the task had any allocation on `cluster` —
-    /// callers rely on this instead of pre-filtering, so the allocation
-    /// list is walked once.
-    fn add(&mut self, task: &Task, cluster: u32, x0: f64, w: f64, fill: Color) -> bool {
-        let mut on_cluster = false;
-        let window = self.col_window(x0, w);
-        for alloc in &task.allocations {
-            if alloc.cluster != cluster {
-                continue;
-            }
-            on_cluster = true;
-            let Some(window) = window else { break };
-            for r in alloc.hosts.ranges() {
-                let gr0 = (r.start as usize).min(self.total_rows);
-                let gr1 = ((r.start + r.nb) as usize).min(self.total_rows);
-                let (lo, hi) = self.local_rows(gr0, gr1);
-                if hi > lo {
-                    self.deposit(window, lo, hi, fill);
-                }
-            }
-        }
-        on_cluster
-    }
-
-    /// The columnar counterpart of [`add`](Self::add): accumulates task
-    /// `ti` by walking its CSR segments in `cols`. The caller already
-    /// established that the task is on `cluster` (classification filtered
-    /// it), so no flag is returned. The per-cell additions replay the
-    /// exact sequence `add` applies for the same task.
+    /// Accumulates task `ti` by walking its CSR segments in `cols`; `x0`
+    /// is the clipped left edge relative to the plot area and `w` the
+    /// clipped on-screen width. A zero-duration task still deposits the
+    /// 0.5 px sliver it would have been drawn with. The caller already
+    /// established that the task is on `cluster` (classification
+    /// filtered it).
     fn add_cols(
         &mut self,
         cols: &TaskColumns,
@@ -723,11 +576,6 @@ impl LodGrid {
         let bias = 255.0 * (1.0 - alpha);
         let blend = |sum: f32| (f64::from(sum) * scale + bias).round().clamp(0.0, 255.0) as u8;
         Some(Color::new(blend(r), blend(g), blend(b)))
-    }
-
-    /// Emits this grid's strips; see [`emit_bands`].
-    fn emit(&self, scene: &mut Scene, panel: &Panel, plot_x: f64) -> usize {
-        emit_bands(std::slice::from_ref(self), scene, panel, plot_x)
     }
 }
 
@@ -795,17 +643,16 @@ fn emit_bands(bands: &[LodGrid], scene: &mut Scene, panel: &Panel, plot_x: f64) 
 #[allow(clippy::too_many_arguments)]
 fn draw_panel(
     scene: &mut Scene,
-    src: Src<'_>,
+    prep: &PreparedSchedule,
+    cols: &TaskColumns,
+    kinds: &KindTable<'_>,
     panel: &Panel,
     opts: &RenderOptions,
     plot_x: f64,
     plot_w: f64,
     composites: &[Task],
     index: Option<&ScheduleIndex>,
-    kind_table: Option<&KindTable<'_>>,
-    columns: Option<&TaskColumns>,
     scratch: &mut LayoutScratch,
-    mut types_out: Option<&mut Vec<String>>,
 ) {
     let c = &panel.cluster;
     let panel_h = panel.row_h * f64::from(c.hosts);
@@ -887,160 +734,15 @@ fn draw_panel(
         Color::BLACK,
     );
 
-    // Prepared renders take the columnar fast path: same classification,
-    // probe, binning and emission semantics, but scanning TaskColumns
-    // (and optionally fanning out over threads). Byte-identical to the
-    // scalar path below — property-tested.
-    if let (Some(kt), Some(cols)) = (kind_table, columns) {
-        let prep = src.prep().expect("columnar path implies a prepared source");
-        panel_tasks_columnar(
-            scene, prep, cols, kt, panel, opts, plot_x, plot_w, ext, index, scratch,
-        );
-        draw_panel_composites(scene, composites, c.id, panel, opts, &ext, to_x);
-        return;
-    }
-
-    // Everything below is the scalar `Vec<Task>` walk; a prepared source
-    // always supplies the columns above, so this materializes only for
-    // cold renders (and never for a packed snapshot).
-    let schedule: &Schedule = match src {
-        Src::Cold(s) => s,
-        Src::Prep(p) => p.schedule(),
-    };
-
-    // Candidate tasks: with a time window the interval index narrows the
-    // scan to tasks intersecting the window on this cluster; the query is
-    // a closed-interval superset of what the clipping guard keeps, so
-    // culling never changes pixels.
-    let candidates: Option<Vec<usize>> = index.map(|idx| match idx.cluster(c.id) {
-        Some(ci) => ci.query(ext.start, ext.end),
-        None => Vec::new(),
-    });
-    if let Some(q) = &candidates {
-        scene.stats.culled += schedule.tasks.len() - q.len();
-    }
-
-    // `Auto` engages aggregation only when sub-threshold tasks dominate
-    // the visible schedule: with few of them the grid + strip overhead
-    // exceeds what aggregation saves (drawing a minority of slivers
-    // directly is cheap). A deterministic stride sample decides — over
-    // ALL schedule tasks, never the culled candidate set, so a windowed
-    // render reaches the same verdict whether or not the interval index
-    // narrowed its scan (culling must stay pixel-identical).
-    let tasks: &[Task] = &schedule.tasks;
-    let lod_engaged = match opts.lod {
-        LodMode::Off => false,
-        LodMode::Force => true,
-        LodMode::Auto => {
-            let stride = (tasks.len() / 512).max(1);
-            let (mut seen, mut below) = (0usize, 0usize);
-            let mut i = 0;
-            while i < tasks.len() {
-                let task = &tasks[i];
-                let t0 = task.start.max(ext.start);
-                let t1 = task.end.min(ext.end);
-                if t1 >= t0 && !(t1 <= t0 && task.duration() > 0.0) {
-                    seen += 1;
-                    if to_x(t1) - to_x(t0) < opts.lod_threshold {
-                        below += 1;
-                    }
-                }
-                i += stride;
-            }
-            below * 2 > seen
-        }
-    };
-
-    // First pass: split candidates into individually drawn tasks and
-    // LOD-aggregated ones. The loop body runs for every task of a full
-    // 10⁶-task render, so it avoids per-item virtual dispatch and walks
-    // `task.allocations` only once per task: the aggregate branch lets
-    // `LodGrid::add` do the cluster filtering it performs anyway.
-    let mut grid: Option<LodGrid> = None;
-    let mut direct: Vec<(usize, ColorPair)> = Vec::new();
-    // Consecutive tasks of a real trace overwhelmingly share one kind, so
-    // memoizing the last colormap lookup turns per-task resolution into a
-    // short string compare instead of an entries scan. The memo runs
-    // before the clipping guard: a kind-change is also where legend types
-    // are collected (`types_out`), and the legend must cover tasks of
-    // every cluster, including ones outside this panel's extent.
-    let mut last_pair: Option<(&str, ColorPair)> = None;
-    let mut classify = |ti: usize, scene: &mut Scene| {
-        let task = &tasks[ti];
-        let pair = match (kind_table, &last_pair) {
-            // Prepared path: the kind slot indexes the pre-resolved
-            // table — same colors, no string compares at all.
-            (Some(kt), _) => kt.pairs[kt.ids[ti] as usize],
-            (None, Some((k, p))) if *k == task.kind => *p,
-            _ => {
-                let p = opts.colormap.resolve(&task.kind);
-                if let Some(types) = types_out.as_deref_mut() {
-                    if !types.contains(&task.kind) {
-                        types.push(task.kind.clone());
-                    }
-                }
-                last_pair = Some((task.kind.as_str(), p));
-                p
-            }
-        };
-        let t0 = task.start.max(ext.start);
-        let t1 = task.end.min(ext.end);
-        if t1 < t0 || (t1 <= t0 && task.duration() > 0.0) {
-            scene.stats.clipped += 1;
-            return;
-        }
-        let px_w = to_x(t1) - to_x(t0);
-        let aggregate = match opts.lod {
-            LodMode::Off => false,
-            LodMode::Force => true,
-            LodMode::Auto => lod_engaged && px_w < opts.lod_threshold,
-        };
-        if aggregate {
-            let g = grid.get_or_insert_with(|| LodGrid::new(c.hosts, plot_w));
-            if g.add(task, c.id, to_x(t0) - plot_x, px_w, pair.bg) {
-                scene.stats.lod_aggregated += 1;
-            } else {
-                scene.stats.clipped += 1;
-            }
-        } else if task.allocations.iter().any(|a| a.cluster == c.id) {
-            direct.push((ti, pair));
-            scene.stats.lod_direct += 1;
-        } else {
-            scene.stats.clipped += 1;
-        }
-    };
-    match &candidates {
-        Some(v) => {
-            for &ti in v {
-                classify(ti, scene);
-            }
-        }
-        None => {
-            for ti in 0..tasks.len() {
-                classify(ti, scene);
-            }
-        }
-    }
-
-    // Density strips go under the individually drawn tasks.
-    if let Some(g) = &grid {
-        scene.stats.lod_strips += g.emit(scene, panel, plot_x);
-    }
-
-    scene.reserve(
-        direct.len(),
-        0,
-        if opts.show_labels { direct.len() } else { 0 },
+    panel_tasks(
+        scene, prep, cols, kinds, panel, opts, plot_x, plot_w, ext, index, scratch,
     );
-    for &(ti, pair) in &direct {
-        draw_task_rects(scene, &tasks[ti], c.id, panel, opts, &ext, to_x, pair);
-    }
     draw_panel_composites(scene, composites, c.id, panel, opts, &ext, to_x);
 }
 
-/// Draws the composite-task overlays of one panel (shared by the scalar
-/// and the columnar paths — the composite list is tiny next to the task
-/// array, so it stays on the `Task` walk).
+/// Draws the composite-task overlays of one panel. The composite list is
+/// tiny next to the task array, so it stays on the `Task` walk instead of
+/// columns.
 fn draw_panel_composites(
     scene: &mut Scene,
     composites: &[Task],
@@ -1062,14 +764,14 @@ fn draw_panel_composites(
     }
 }
 
-/// The columnar panel body: candidate collection, LOD probe, task
+/// The panel body: candidate collection, LOD probe, task
 /// classification, density binning and direct-rectangle emission, all as
 /// linear scans over [`TaskColumns`]. Classification and binning fan out
 /// over `opts.threads` workers above [`PAR_MIN_ITEMS`] items;
 /// classification chunks concatenate in chunk order and binning shards by
 /// row band, so the scene is byte-identical for every worker count.
 #[allow(clippy::too_many_arguments)]
-fn panel_tasks_columnar(
+fn panel_tasks(
     scene: &mut Scene,
     prep: &PreparedSchedule,
     cols: &TaskColumns,
@@ -1096,7 +798,10 @@ fn panel_tasks_columnar(
     let to_x = move |t: f64| plot_x + (t - ext.start) / span * plot_w;
     let (starts, ends) = (cols.starts(), cols.ends());
 
-    // Candidates, filled into the reusable scratch buffer.
+    // Candidates, filled into the reusable scratch buffer: with an index
+    // the interval query narrows the scan to tasks intersecting the window
+    // on this cluster. The query is a closed-interval superset of what the
+    // clipping guard keeps, so culling never changes pixels.
     let cand: Option<&[usize]> = match index {
         Some(idx) => {
             if let Some(ci) = idx.cluster(c.id) {
@@ -1110,10 +815,13 @@ fn panel_tasks_columnar(
         scene.stats.culled += cols.len() - q.len();
     }
 
-    // The `Auto` stride-sample probe, fused onto the columns: identical
-    // guard and vote to the scalar probe (over ALL tasks, never the
-    // culled candidate set — see the scalar path's comment), but reading
-    // the contiguous start/end slices the classification pass scans next.
+    // `Auto` engages aggregation only when sub-threshold tasks dominate
+    // the visible schedule: with few of them the grid + strip overhead
+    // exceeds what aggregation saves (drawing a minority of slivers
+    // directly is cheap). A deterministic stride sample decides — over
+    // ALL tasks, never the culled candidate set, so a windowed render
+    // reaches the same verdict whether or not the interval index narrowed
+    // its scan (culling must stay pixel-identical).
     let lod_engaged = match opts.lod {
         LodMode::Off => false,
         LodMode::Force => true,
@@ -1210,7 +918,7 @@ fn panel_tasks_columnar(
     // Density binning: every band worker walks the full aggregated list
     // in task order but only deposits the rows it owns, so each cell
     // accumulates bit-identically to the sequential pass. Strips go under
-    // the individually drawn tasks, same as the scalar path.
+    // the individually drawn tasks.
     if !agg.is_empty() {
         let total_rows = c.hosts.max(1) as usize;
         let deposit_all = |grid: &mut LodGrid, agg: &[u32]| {
@@ -1308,6 +1016,8 @@ fn panel_tasks_columnar(
     scene.stats.lod_direct += direct.len();
 }
 
+/// Draws one task's rectangles (one per contiguous host range on
+/// `cluster`) and its label when it fits.
 #[allow(clippy::too_many_arguments)]
 fn draw_task_rects(
     scene: &mut Scene,
@@ -1477,7 +1187,10 @@ mod tests {
         let mut o = RenderOptions::default();
         o.time_window = Some((10.0, 20.0)); // beyond all tasks
         o.show_composites = false;
-        let scene = layout(&sched(), &o);
+        let s = sched();
+        let prep = PreparedSchedule::new(s.clone());
+        prep.warm();
+        let scene = layout_prepared(&prep, &o);
         // Only frames + legend remain.
         let task_rects: Vec<_> = rects(&scene)
             .into_iter()
@@ -1490,8 +1203,14 @@ mod tests {
                 .all(|(_, _, w, _)| *w > 600.0 || *w <= 10.0),
             "unexpected rects {task_rects:?}"
         );
-        // Every task was culled by the interval index.
+        // Every task was culled by the warmed bundle's interval index.
         assert_eq!(scene.stats.culled, 2 * 3);
+        // A one-shot render builds no index just to cull: its column scan
+        // clips the same tasks and draws the same document.
+        let one_shot = layout(&s, &o);
+        assert_eq!(one_shot.stats.culled, 0);
+        assert_eq!(one_shot.stats.clipped, 2 * 3);
+        assert_eq!(crate::svg::to_svg(&one_shot), crate::svg::to_svg(&scene));
     }
 
     #[test]
@@ -1682,11 +1401,15 @@ mod tests {
         assert!(l >= 1);
     }
 
+    /// A warmed bundle (index culling, one reused dirty scratch, several
+    /// thread counts) draws byte-for-byte what a one-shot wrap draws
+    /// (column scan, fresh scratch, one thread).
     #[test]
-    fn prepared_layout_matches_cold_across_options() {
-        use jedule_core::{AlignMode, PreparedSchedule};
+    fn warmed_layout_matches_one_shot_across_options() {
+        use jedule_core::AlignMode;
         let s = sched();
         let prep = PreparedSchedule::new(s.clone());
+        prep.warm();
         let mut variants: Vec<RenderOptions> = Vec::new();
         variants.push(RenderOptions::default());
         let mut o = RenderOptions::default();
@@ -1697,7 +1420,7 @@ mod tests {
         variants.push(o);
         let mut o = RenderOptions::default();
         o.time_window = Some((2.0, 4.0));
-        o.cull = false;
+        o.show_composites = false;
         variants.push(o);
         let mut o = RenderOptions::default();
         o.align = AlignMode::Scaled;
@@ -1708,24 +1431,30 @@ mod tests {
         o.show_profile = true;
         o.show_meta = true;
         variants.push(o);
+        let mut scratch = LayoutScratch::new();
         for (i, o) in variants.iter().enumerate() {
-            let cold = layout(&s, o);
-            let warm = layout_prepared(&prep, o);
-            assert_eq!(
-                crate::svg::to_svg(&cold),
-                crate::svg::to_svg(&warm),
-                "variant {i}"
-            );
+            let mut scan = o.clone().with_threads(1);
+            scan.cull = false;
+            let one_shot = crate::svg::to_svg(&layout(&s, &scan));
+            for threads in [1, 2, 3, 5] {
+                let o = o.clone().with_threads(threads);
+                let warm = layout_prepared_scratch(&prep, &o, &mut scratch);
+                assert_eq!(
+                    crate::svg::to_svg(&warm),
+                    one_shot,
+                    "variant {i}, {threads} threads"
+                );
+            }
         }
     }
 
     #[test]
-    fn prepared_layout_empty_schedule() {
-        use jedule_core::PreparedSchedule;
+    fn warmed_layout_empty_schedule() {
         let s = ScheduleBuilder::new().cluster(0, "c", 4).build().unwrap();
         let prep = PreparedSchedule::new(s.clone());
-        let cold = layout(&s, &RenderOptions::default());
+        prep.warm();
+        let one_shot = layout(&s, &RenderOptions::default());
         let warm = layout_prepared(&prep, &RenderOptions::default());
-        assert_eq!(crate::svg::to_svg(&cold), crate::svg::to_svg(&warm));
+        assert_eq!(crate::svg::to_svg(&one_shot), crate::svg::to_svg(&warm));
     }
 }

@@ -29,7 +29,6 @@ pub mod jpeg;
 pub mod layout;
 pub mod options;
 pub mod pdf;
-pub mod perf;
 pub mod png;
 pub mod ppm;
 pub mod raster;
@@ -40,92 +39,43 @@ pub mod tile;
 
 pub use dagviz::{dag_scene, dag_to_svg, DagVizOptions};
 pub use layout::{
-    frame_geometry, frame_geometry_prepared, layout, layout_prepared, layout_prepared_scratch,
-    FrameGeom, LayoutScratch, PanelGeom,
+    frame_geometry, layout, layout_prepared, layout_prepared_scratch, FrameGeom, LayoutScratch,
+    PanelGeom,
 };
 pub use options::{LodMode, OutputFormat, RenderOptions};
-pub use perf::RenderTimings;
 pub use scene::{Anchor, LinePrim, PrimKind, PrimRef, RectPrim, Scene, SceneStats, TextPrim};
 
 use jedule_core::{obs, PreparedSchedule, Schedule};
 
 /// One-call rendering: lays out `schedule` and serializes it in
-/// `options.format`, returning the output bytes. The raster back-ends
+/// `options.format`, returning the output bytes — a one-shot wrap of
+/// `schedule` in a [`PreparedSchedule::borrowed`] bundle, rendered by
+/// [`render_prepared`].
+pub fn render(schedule: &Schedule, options: &RenderOptions) -> Vec<u8> {
+    render_prepared(&PreparedSchedule::borrowed(schedule), options)
+}
+
+/// Renders a [`PreparedSchedule`] in `options.format`, returning the
+/// output bytes. Repeated renders of one bundle (interactive redraws,
+/// `--window` series) reuse its cached extent/index/kind data instead of
+/// rebuilding it per frame, and a bundle loaded from a `.jpack` snapshot
+/// renders without ever materializing its `Schedule` (except for
+/// `--fmt html` up to its embedded task cap). The raster back-ends
 /// (PNG/JPEG/PPM) honor `options.threads`.
 ///
 /// When an [`obs::Collector`] is installed the pipeline records spans
 /// (`render` → `render.layout` / `render.raster` / `render.encode`) and
 /// counters into it; with none installed instrumentation is a no-op and
 /// the output bytes are identical either way (property-tested).
-pub fn render(schedule: &Schedule, options: &RenderOptions) -> Vec<u8> {
-    render_impl(RenderSrc::Cold(schedule), options).0
-}
-
-/// [`render`] served from a [`PreparedSchedule`]: repeated renders of
-/// the same trace (interactive redraws, `--window` series) reuse the
-/// cached index/extent/kind data instead of rebuilding it per frame.
-/// Output bytes are identical to `render(prep.schedule(), options)` —
-/// and a bundle loaded from a `.jpack` snapshot renders without ever
-/// materializing its `Schedule`.
 pub fn render_prepared(prep: &PreparedSchedule, options: &RenderOptions) -> Vec<u8> {
-    render_impl(RenderSrc::Prep(prep), options).0
-}
-
-/// Like [`render_prepared`], but also reports per-stage timings.
-pub fn render_prepared_timed(
-    prep: &PreparedSchedule,
-    options: &RenderOptions,
-) -> (Vec<u8>, RenderTimings) {
-    render_timed_impl(RenderSrc::Prep(prep), options)
-}
-
-/// What a render reads from: a bare schedule or a prepared bundle.
-#[derive(Clone, Copy)]
-enum RenderSrc<'a> {
-    Cold(&'a Schedule),
-    Prep(&'a PreparedSchedule),
-}
-
-/// Like [`render`], but also reports how long each pipeline stage took
-/// (surfaced by `jedule render --timings` and the bench harness).
-///
-/// The timings are a view over the same span tree every other consumer
-/// sees: if a collector is already installed the render records into it
-/// and the timings are derived from those spans; otherwise a temporary
-/// collector scopes the measurement. Either way there is exactly one
-/// measurement code path.
-pub fn render_timed(schedule: &Schedule, options: &RenderOptions) -> (Vec<u8>, RenderTimings) {
-    render_timed_impl(RenderSrc::Cold(schedule), options)
-}
-
-fn render_timed_impl(src: RenderSrc<'_>, options: &RenderOptions) -> (Vec<u8>, RenderTimings) {
-    let temp = if obs::enabled() {
-        None
-    } else {
-        Some(obs::Collector::new())
-    };
-    let _g = temp.as_ref().map(obs::Collector::install);
-    let (bytes, stats, root) = render_impl(src, options);
-    let col = obs::current().expect("a collector is installed for a timed render");
-    let timings = RenderTimings::from_report(&col.report(), root, stats);
-    (bytes, timings)
-}
-
-/// The single render pipeline. Returns the output bytes, the layout
-/// stage counters, and the id of the `render` root span (when a
-/// collector is installed).
-fn render_impl(src: RenderSrc<'_>, options: &RenderOptions) -> (Vec<u8>, SceneStats, Option<u32>) {
     let root = obs::span("render");
-    let root_id = root.id();
+    let traced = root.id().is_some();
     let scene = {
         let _s = obs::span("render.layout");
-        match src {
-            RenderSrc::Prep(p) => layout_prepared(p, options),
-            RenderSrc::Cold(s) => layout(s, options),
-        }
+        layout_prepared(prep, options)
     };
-    let stats = scene.stats;
-    if root_id.is_some() {
+    if traced {
+        let stats = scene.stats;
         obs::count("render.tasks_direct", stats.lod_direct as u64);
         obs::count("render.tasks_lod_binned", stats.lod_aggregated as u64);
         obs::count("render.lod_strips", stats.lod_strips as u64);
@@ -166,22 +116,14 @@ fn render_impl(src: RenderSrc<'_>, options: &RenderOptions) -> (Vec<u8>, SceneSt
             ascii::to_ascii(&scene, true).into_bytes()
         }
         OutputFormat::Html => {
-            // The explorer embeds task data (tooltips, hit testing), so a
-            // prepared source materializes its schedule here — html is an
-            // export format, not a tile-store hot path.
             let _s = encode();
-            let page = match src {
-                RenderSrc::Cold(s) => html::to_html(s, &scene, options),
-                RenderSrc::Prep(p) => html::to_html(p.schedule(), &scene, options),
-            };
-            page.into_bytes()
+            html::to_html(prep, &scene, options).into_bytes()
         }
     };
-    if root_id.is_some() {
+    if traced {
         obs::count("encode.bytes_out", bytes.len() as u64);
     }
-    drop(root);
-    (bytes, stats, root_id)
+    bytes
 }
 
 /// Renders to a file, picking the format from `options`.

@@ -10,7 +10,7 @@
 //!   panel structure, so the JS hit-testing operates on exactly the
 //!   rectangles the layout painted.
 
-use jedule_core::{Allocation, Schedule, ScheduleBuilder, Task};
+use jedule_core::{Allocation, PreparedSchedule, Schedule, ScheduleBuilder, Task};
 use jedule_render::html::{explore_shell, to_html};
 use jedule_render::{frame_geometry, layout, render, svg, LodMode, OutputFormat, RenderOptions};
 use proptest::prelude::*;
@@ -102,7 +102,7 @@ proptest! {
     ) {
         let scene = layout(&s, &opts);
         let expected_svg = svg::to_svg(&scene);
-        let page = to_html(&s, &scene, &opts);
+        let page = to_html(&PreparedSchedule::borrowed(&s), &scene, &opts);
         prop_assert!(page.contains(&expected_svg), "page does not embed the exact SVG");
         // The whole-pipeline render() for fmt html is that same page.
         let rendered = render(&s, &opts);
@@ -116,7 +116,7 @@ proptest! {
         opts in arb_options(),
     ) {
         let scene = layout(&s, &opts);
-        let page = to_html(&s, &scene, &opts);
+        let page = to_html(&PreparedSchedule::borrowed(&s), &scene, &opts);
         let refs = external_refs(&page);
         prop_assert!(refs.is_empty(), "external references: {refs:?}");
         prop_assert!(!page.contains("__JEDULE_"), "unfilled placeholder");
@@ -134,7 +134,7 @@ proptest! {
         opts in arb_options(),
     ) {
         let scene = layout(&s, &opts);
-        let geom = frame_geometry(&s, &opts);
+        let geom = frame_geometry(&PreparedSchedule::borrowed(&s), &opts);
         prop_assert_eq!(geom.width, scene.width);
         prop_assert_eq!(geom.height, scene.height);
         prop_assert_eq!(geom.panels.len(), s.clusters.len());
@@ -178,7 +178,7 @@ fn hostile_ids_and_attrs_never_escape_their_contexts() {
         ..RenderOptions::default()
     };
     let scene = layout(&s, &opts);
-    let page = to_html(&s, &scene, &opts);
+    let page = to_html(&PreparedSchedule::borrowed(&s), &scene, &opts);
     // The boot JSON escapes every angle bracket, so the only `</script`
     // sequences in the page are the two real closers.
     let (o, c) = tag_balance(&page, "script");

@@ -1,18 +1,19 @@
 //! Byte-identity of renders served from a `.jpack` snapshot: encoding a
 //! schedule to the binary pack, loading it back, and rendering through
 //! the packed [`PreparedSchedule`] must produce *byte-for-byte* the same
-//! SVG and PNG documents as a cold render of the original schedule —
+//! SVG and PNG documents as a one-shot render of the original schedule —
 //! including task-label text (served from the pack's string blob without
 //! materializing tasks), the utilization profile (computed from the
 //! packed index), meta lines, and composite glyphs.
 
 use jedule_core::snap;
 use jedule_core::{AlignMode, Allocation, PreparedSchedule, Schedule, ScheduleBuilder, Task};
+use jedule_render::html::{meta_json, TASK_EMBED_CAP};
 use jedule_render::{render, render_prepared, LodMode, OutputFormat, RenderOptions};
 use proptest::prelude::*;
 
 /// Round-trips a schedule through the in-memory pack encoder/loader.
-fn packed(s: &Schedule) -> PreparedSchedule {
+fn packed(s: &Schedule) -> PreparedSchedule<'static> {
     let bytes = snap::write_pack(
         &PreparedSchedule::new(s.clone()),
         snap::source_digest(b"id"),
@@ -108,7 +109,7 @@ proptest! {
 }
 
 /// A packed render must never materialize the `Schedule` — the whole
-/// point of the cold path. `is_materialized` still answering `false`
+/// point of the pack path. `is_materialized` still answering `false`
 /// after a full decorated render proves `schedule()` was never called.
 #[test]
 fn packed_render_does_not_materialize() {
@@ -138,4 +139,37 @@ fn packed_render_does_not_materialize() {
         !prep.is_materialized(),
         "render of a packed schedule materialized the task vector"
     );
+}
+
+/// The explorer's `/meta` document of a pack over the task-embed cap
+/// reads only the bundle's accessors: it equals the text-path document
+/// and leaves the `Schedule` unmaterialized.
+#[test]
+fn packed_meta_json_over_the_cap_does_not_materialize() {
+    let mut b = ScheduleBuilder::new()
+        .cluster(0, "c", 4)
+        .cluster(1, "d", 2)
+        .meta("m", "v");
+    for i in 0..=TASK_EMBED_CAP as u32 {
+        let start = f64::from(i % 97) * 0.5;
+        b = b.task(
+            Task::new(
+                format!("t{i}"),
+                ["work", "io"][(i % 2) as usize],
+                start,
+                start + 0.4,
+            )
+            .on(Allocation::contiguous(i % 2, i % 2, 1)),
+        );
+    }
+    let s = b.build().unwrap();
+    let prep = packed(&s);
+    let o = RenderOptions::default();
+    let m = meta_json(&prep, &o);
+    assert!(
+        !prep.is_materialized(),
+        "meta JSON of a packed schedule materialized the task vector"
+    );
+    assert!(m.contains("\"truncated\":true"));
+    assert_eq!(m, meta_json(&PreparedSchedule::borrowed(&s), &o));
 }

@@ -1,9 +1,10 @@
-//! Property tests of the [`PreparedSchedule`] render path: serving a
-//! render from the cached index/extent/kind bundle must be
-//! pixel-identical to a cold `layout` of the same schedule, for any
-//! window, LOD mode, alignment and composite setting — and repeated
-//! window renders from one prepared instance must each match their cold
-//! counterpart.
+//! Property tests of the [`PreparedSchedule`] render path: a warmed
+//! bundle (window culling through its interval index, a reused dirty
+//! [`LayoutScratch`], any thread count) must draw pixel-identically to a
+//! one-shot wrap of the same schedule (column scan, fresh scratch, one
+//! thread), for any window, LOD mode, alignment and composite setting —
+//! and repeated window renders from one warmed instance must each match
+//! their one-shot counterpart.
 
 use jedule_core::{AlignMode, Allocation, PreparedSchedule, Schedule, ScheduleBuilder, Task};
 use jedule_render::{
@@ -12,14 +13,31 @@ use jedule_render::{
 };
 use proptest::prelude::*;
 
-/// Rasterized bytes of a cold layout.
-fn cold_pixels(s: &Schedule, o: &RenderOptions) -> Vec<u8> {
-    ppm::encode(&raster::rasterize(&layout(s, o)))
+/// The reference options: one thread and no culling, so the one-shot
+/// wrap always scans every column even when its composite sweep has
+/// built an index.
+fn scan(o: &RenderOptions) -> RenderOptions {
+    RenderOptions {
+        cull: false,
+        ..o.clone().with_threads(1)
+    }
 }
 
-/// Rasterized bytes of a prepared layout.
+/// Rasterized bytes of a one-shot layout of a bare schedule.
+fn one_shot_pixels(s: &Schedule, o: &RenderOptions) -> Vec<u8> {
+    ppm::encode(&raster::rasterize(&layout(s, &scan(o))))
+}
+
+/// Rasterized bytes of a layout served from a kept bundle.
 fn prep_pixels(p: &PreparedSchedule, o: &RenderOptions) -> Vec<u8> {
     ppm::encode(&raster::rasterize(&layout_prepared(p, o)))
+}
+
+/// A bundle with every render cache built up front.
+fn warmed(s: &Schedule) -> PreparedSchedule<'static> {
+    let prep = PreparedSchedule::new(s.clone());
+    prep.warm();
+    prep
 }
 
 /// Two-cluster schedules (exercising the per-cluster extent cache),
@@ -69,28 +87,26 @@ proptest! {
         if scaled {
             o.align = AlignMode::Scaled;
         }
-        let prep = PreparedSchedule::new(s.clone());
-        prop_assert_eq!(prep_pixels(&prep, &o), cold_pixels(&s, &o));
+        prop_assert_eq!(prep_pixels(&warmed(&s), &o), one_shot_pixels(&s, &o));
     }
 
-    /// One prepared instance serves a series of windows (the
-    /// interactive zoom/pan pattern); each frame matches a cold render.
+    /// One warmed instance serves a series of windows (the interactive
+    /// zoom/pan pattern); each frame matches a one-shot render.
     #[test]
     fn prepared_window_series_is_pixel_identical(
         s in arb_schedule(),
         windows in proptest::collection::vec((0.0f64..100.0, 0.5f64..40.0), 1..5),
     ) {
-        let prep = PreparedSchedule::new(s.clone());
-        prep.warm();
+        let prep = warmed(&s);
         for (t0, span) in windows {
             let o = RenderOptions::default().with_time_window(t0, t0 + span);
-            prop_assert_eq!(prep_pixels(&prep, &o), cold_pixels(&s, &o));
+            prop_assert_eq!(prep_pixels(&prep, &o), one_shot_pixels(&s, &o));
         }
     }
 
-    /// The columnar path with a dirty, reused scratch buffer and varying
-    /// thread counts emits byte-for-byte the same SVG document as a cold
-    /// scalar layout — the scratch carries capacity, never state.
+    /// A warmed bundle with a dirty, reused scratch buffer and varying
+    /// thread counts emits byte-for-byte the same SVG document as a
+    /// one-shot layout — the scratch carries capacity, never state.
     #[test]
     fn columnar_scratch_and_threads_are_byte_identical(
         s in arb_schedule(),
@@ -99,27 +115,27 @@ proptest! {
         force_lod in any::<bool>(),
         composites in any::<bool>(),
     ) {
-        let prep = PreparedSchedule::new(s.clone());
+        let prep = warmed(&s);
         let mut scratch = LayoutScratch::new();
-        for threads in [1usize, 3] {
-            let mut o = RenderOptions::default()
-                .with_time_window(t0, t0 + span)
-                .with_threads(threads);
-            if force_lod {
-                o = o.with_lod(LodMode::Force);
-            }
-            o.show_composites = composites;
-            let cold = svg::to_svg(&layout(&s, &o));
+        let mut o = RenderOptions::default().with_time_window(t0, t0 + span);
+        if force_lod {
+            o = o.with_lod(LodMode::Force);
+        }
+        o.show_composites = composites;
+        let one_shot = svg::to_svg(&layout(&s, &scan(&o)));
+        for threads in [1usize, 2, 3, 5] {
+            let o = o.clone().with_threads(threads);
             let warm = svg::to_svg(&layout_prepared_scratch(&prep, &o, &mut scratch));
-            prop_assert_eq!(warm, cold);
+            prop_assert_eq!(&warm, &one_shot, "{} threads", threads);
         }
     }
 }
 
 /// A schedule big enough to cross the layout parallel-engagement
 /// threshold, so classification chunking and row-banded density binning
-/// genuinely fan out: the scene must stay byte-identical to the cold
-/// scalar path for every thread count, LOD mode and a zoomed window.
+/// genuinely fan out: the scene must stay byte-identical to the
+/// single-threaded one-shot scan for every thread count, LOD mode and a
+/// zoomed window.
 #[test]
 fn parallel_columnar_layout_is_byte_identical_at_scale() {
     let mut b = ScheduleBuilder::new()
@@ -141,8 +157,7 @@ fn parallel_columnar_layout_is_byte_identical_at_scale() {
         });
     }
     let s = b.build().unwrap();
-    let prep = PreparedSchedule::new(s.clone());
-    prep.warm();
+    let prep = warmed(&s);
     let mut scratch = LayoutScratch::new();
     let mut variants: Vec<RenderOptions> = [LodMode::Auto, LodMode::Off, LodMode::Force]
         .into_iter()
@@ -150,11 +165,14 @@ fn parallel_columnar_layout_is_byte_identical_at_scale() {
         .collect();
     variants.push(RenderOptions::default().with_time_window(20.0, 40.0));
     for (vi, v) in variants.iter().enumerate() {
-        let cold = svg::to_svg(&layout(&s, v));
-        for threads in [1usize, 2, 5] {
+        let one_shot = svg::to_svg(&layout(&s, &scan(v)));
+        for threads in [1usize, 2, 3, 5] {
             let o = v.clone().with_threads(threads);
             let warm = svg::to_svg(&layout_prepared_scratch(&prep, &o, &mut scratch));
-            assert!(warm == cold, "variant {vi} with {threads} threads differs");
+            assert!(
+                warm == one_shot,
+                "variant {vi} with {threads} threads differs"
+            );
         }
     }
 }

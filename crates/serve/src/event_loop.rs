@@ -16,7 +16,7 @@
 //! request in flight; pipelined bytes stay buffered and request order
 //! is preserved per connection) → `Writing` (draining head + body) →
 //! back to `Reading` under keep-alive, or closed. Idle connections are
-//! swept after [`IDLE_TIMEOUT`]; half-written heads get a best-effort
+//! swept after `IDLE_TIMEOUT` (10 s); half-written heads get a best-effort
 //! `408`. Shutdown is graceful: the listener is dropped first, reading
 //! connections close, busy/writing ones finish, then the job channel
 //! closes and the workers join.

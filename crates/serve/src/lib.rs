@@ -130,7 +130,7 @@ struct State {
     root: PathBuf,
     registry: Registry,
     traces: TraceRing,
-    prepared: LruCache<u64, PreparedSchedule>,
+    prepared: LruCache<u64, PreparedSchedule<'static>>,
     bodies: LruCache<(u64, String), Body>,
     tiles: TileStore,
     digests: LruCache<PathBuf, FileDigest>,
@@ -1053,7 +1053,7 @@ fn prepared_for(
     path: &Path,
     digest: u64,
     mut src: Option<String>,
-) -> Result<Arc<PreparedSchedule>, Response> {
+) -> Result<Arc<PreparedSchedule<'static>>, Response> {
     match state.prepared.get(&digest) {
         Some(p) => {
             state
@@ -1271,7 +1271,7 @@ fn handle_meta(state: &State, req: &Request) -> Result<Response, Response> {
     };
     let json = {
         let _s = obs::span("serve.meta_encode");
-        jedule_render::html::meta_json_prepared(&prepared, &opts)
+        jedule_render::html::meta_json(&prepared, &opts)
     };
     let bytes = Arc::new(json.into_bytes());
     state.bodies.insert(

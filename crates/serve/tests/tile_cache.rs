@@ -57,8 +57,8 @@ fn cold(s: &Schedule, opts: &RenderOptions) -> Vec<u8> {
 #[test]
 fn concurrent_assembly_is_byte_identical_under_eviction_pressure() {
     let s = Arc::new(schedule(120));
-    // Misses lay out through the prepared columnar + scratch path the
-    // server uses — its bytes must equal the cold scalar renders below.
+    // Misses lay out through the kept bundle + scratch path the server
+    // uses — its bytes must equal the one-shot renders below.
     let prep = Arc::new(PreparedSchedule::new((*s).clone()));
     // 8 views × 2 formats, but only 6 tiles of room: constant eviction.
     let store = Arc::new(TileStore::new(6));
