@@ -4,10 +4,13 @@
 //!
 //! The text path pays parse (SWF → jobs → schedule) plus `warm()`
 //! (interval index, extents, columns). The pack path mmaps the sidecar,
-//! validates it (header, digest, section table, every CSR), and adopts
-//! the borrowed columns — no parse, no tree build, no index
-//! construction. BENCH_ingest.json's `jpack_load_1m_speedup` acceptance
-//! row is the ratio of these two medians at one million tasks.
+//! validates it (header, digest, section table, every CSR and index
+//! row), and adopts the borrowed columns — no parse, no tree build, no
+//! index construction. The stored index rows are gathered on first
+//! query, not at load, so the `jpack_load` row no longer includes that
+//! gather: BENCH_ingest.json's `jpack_load_1m_speedup` acceptance row,
+//! the ratio of these two medians at one million tasks, compares a load
+//! without the index against parse plus `warm()`.
 //!
 //! Set `JEDULE_BENCH_QUICK=1` to shrink sizes so CI can smoke-test the
 //! harness in seconds.

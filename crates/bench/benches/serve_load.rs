@@ -14,7 +14,7 @@
 //! Set `JEDULE_BENCH_QUICK=1` to shrink the trace and request counts so
 //! the harness can be smoke-tested in seconds.
 
-use jedule_serve::cache::fnv1a64;
+use jedule_core::snap::source_digest;
 use jedule_serve::{ServeConfig, Server, ServerHandle};
 use jedule_workloads::convert::assigned_to_schedule;
 use jedule_workloads::{synth_scale_trace, ConvertOptions};
@@ -246,7 +246,7 @@ fn main() {
         for i in 0..windows {
             let r = client.get(&window_target(i), None);
             assert_eq!(r.status, 200);
-            digests.push(fnv1a64(&r.body));
+            digests.push(source_digest(&r.body));
         }
         pass_mean_ms[pass] = t.elapsed().as_secs_f64() * 1e3 / windows as f64;
     }
@@ -315,8 +315,8 @@ fn main() {
     let sidecar_cold_ms = t.elapsed().as_secs_f64() * 1e3;
     assert_eq!(r.status, 200, "sidecar cold render must succeed");
     assert_eq!(
-        fnv1a64(&r.body),
-        fnv1a64(&reply.body),
+        source_digest(&r.body),
+        source_digest(&reply.body),
         "sidecar-served body must be byte-identical to the text cold render"
     );
     let reg2 = server2.registry();

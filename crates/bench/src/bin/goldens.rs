@@ -14,21 +14,12 @@
 //! inspect the artifacts) or an accidental regression.
 
 use jedule_bench as fig;
+use jedule_core::snap::source_digest;
 use jedule_core::transform::{merge, normalize};
 use jedule_core::PreparedSchedule;
 use jedule_render::{render, render_prepared, LodMode, OutputFormat, RenderOptions};
 use jedule_workloads::convert::{assigned_to_schedule, workload_colormap};
 use jedule_workloads::{synth_scale_trace, ConvertOptions};
-
-/// FNV-1a 64 — tiny, dependency-free, and plenty for change detection.
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 fn figures() -> Vec<(&'static str, Vec<u8>)> {
     let mut out = Vec::new();
@@ -124,7 +115,7 @@ fn main() -> std::process::ExitCode {
             if i > 0 {
                 json.push_str(",\n");
             }
-            json.push_str(&format!("  \"{name}\": \"{:016x}\"", fnv1a64(bytes)));
+            json.push_str(&format!("  \"{name}\": \"{:016x}\"", source_digest(bytes)));
         }
         json.push_str("\n}\n");
         if let Some(dir) = digests_path.parent() {
@@ -158,7 +149,7 @@ fn main() -> std::process::ExitCode {
     };
     let mut failures = Vec::new();
     for (name, bytes) in &rendered {
-        let actual = format!("{:016x}", fnv1a64(bytes));
+        let actual = format!("{:016x}", source_digest(bytes));
         match doc.get(name).and_then(|v| v.as_str()) {
             None => failures.push(format!("{name}: no recorded digest")),
             Some(expect) if expect != actual => failures.push(format!(

@@ -1,4 +1,7 @@
-//! A tiny flag parser shared by the subcommands.
+//! A tiny flag parser shared by the subcommands, plus the input
+//! loading and digesting they share.
+
+use jedule_core::{obs, snap};
 
 /// Iterates over raw arguments, separating flags from positionals.
 pub struct Args<'a> {
@@ -42,14 +45,33 @@ pub fn load_schedule(path: &str) -> Result<jedule_core::Schedule, String> {
 /// traces are converted through the bird's-eye pipeline with cluster
 /// geometry taken from the trace header.
 pub fn load_schedule_threads(path: &str, threads: usize) -> Result<jedule_core::Schedule, String> {
-    let src = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    parse_schedule_src(path, &src, threads)
+    parse_schedule_src(path, &read_source(path)?, threads)
+}
+
+/// Reads a schedule input's text.
+pub fn read_source(path: &str) -> Result<String, String> {
+    std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))
+}
+
+/// The source digest of `path`'s bytes, streamed through a fixed buffer
+/// so a fresh sidecar never costs a copy of the input.
+pub fn digest_file(path: &str) -> Result<u64, String> {
+    let _s = obs::span("ingest.digest");
+    std::fs::File::open(path)
+        .and_then(snap::source_digest_reader)
+        .map_err(|e| format!("cannot read {path}: {e}"))
+}
+
+/// The source digest of already-read input text.
+pub fn digest_source(src: &str) -> u64 {
+    let _s = obs::span("ingest.digest");
+    snap::source_digest(src.as_bytes())
 }
 
 /// Parses already-read source text with the same format auto-detection
-/// as [`load_schedule_threads`] — shared with the sidecar path, which
-/// needs the raw text for digesting before it decides whether to parse.
-fn parse_schedule_src(
+/// as [`load_schedule_threads`] — shared with the paths that digest the
+/// text they parse (`pack`, a sidecar miss).
+pub fn parse_schedule_src(
     path: &str,
     src: &str,
     threads: usize,
@@ -66,27 +88,31 @@ fn parse_schedule_src(
 /// `--pack-sidecar` mode of `render` / `view` / `compare`):
 ///
 /// * a sidecar whose stored digest matches the input's bytes is mapped
-///   and served directly — the text is never parsed and (unless the
-///   caller materializes) no `Schedule` is ever built;
+///   and served directly — the input is only streamed through the
+///   digest, never held in memory or parsed, and (unless the caller
+///   materializes) no `Schedule` is ever built;
 /// * a **stale** sidecar (digest mismatch after the input changed) is
 ///   silently ignored and rewritten after the text parse;
 /// * a **corrupt** sidecar is reported to stderr, ignored, and
 ///   rewritten — it never fails the command.
+///
+/// A rewritten sidecar stores the digest of the very text it was parsed
+/// from, so an input edited between the probe and the parse cannot leave
+/// a pack that claims the wrong source.
 pub fn load_prepared_sidecar(
     path: &str,
     threads: usize,
 ) -> Result<jedule_core::PreparedSchedule<'static>, String> {
-    use jedule_core::snap;
-    let src = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    let digest = snap::source_digest(src.as_bytes());
     let sidecar = snap::sidecar_path(std::path::Path::new(path));
     if sidecar.exists() {
-        match snap::load_if_fresh(&sidecar, digest) {
+        match snap::load_if_fresh(&sidecar, digest_file(path)?) {
             Ok(Some(packed)) => return Ok(jedule_core::PreparedSchedule::from_pack(packed)),
             Ok(None) => {} // stale: fall back to the text silently
             Err(e) => eprintln!("jedule: ignoring sidecar {}: {e}", sidecar.display()),
         }
     }
+    let src = read_source(path)?;
+    let digest = digest_source(&src);
     let prep = jedule_core::PreparedSchedule::new(parse_schedule_src(path, &src, threads)?);
     if let Err(e) = snap::write_pack_file(&prep, digest, &sidecar) {
         eprintln!("jedule: cannot write sidecar {}: {e}", sidecar.display());
@@ -113,7 +139,7 @@ fn swf_to_schedule(src: &str, threads: usize) -> Result<jedule_core::Schedule, S
     };
     // Node assignment + task building dominate SWF ingest; give them
     // their own span so `--timings` attributes the time.
-    let _s = jedule_core::obs::span("ingest.convert");
+    let _s = obs::span("ingest.convert");
     Ok(jedule_workloads::jobs_to_schedule(&jobs, &opts))
 }
 

@@ -1,7 +1,7 @@
 //! `jedule info` — validation and statistics (the "sanity checks" the
 //! paper motivates the tool with).
 
-use crate::args::{load_schedule, Args};
+use crate::args::{digest_file, load_schedule, Args};
 use jedule_core::stats::{idle_holes, schedule_stats};
 use jedule_core::validate;
 use jedule_xmlio::json::{obj, Json};
@@ -137,9 +137,7 @@ fn pack_status(input: &str) -> PackStatus {
     }
     match snap::peek(&sidecar) {
         Ok(info) => {
-            let fresh = std::fs::read(input)
-                .map(|b| snap::source_digest(&b) == info.source_digest)
-                .unwrap_or(false);
+            let fresh = digest_file(input).is_ok_and(|d| d == info.source_digest);
             PackStatus::Ok {
                 version: info.version,
                 fresh,

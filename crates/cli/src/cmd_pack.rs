@@ -3,7 +3,7 @@
 //! mmap-ready section file so later renders skip the parse + prepare
 //! cold path entirely (DESIGN.md §5f).
 
-use crate::args::{load_schedule_threads, Args};
+use crate::args::{digest_file, digest_source, parse_schedule_src, read_source, Args};
 use crate::obs_cli::ObsSink;
 use jedule_core::{obs, snap, PreparedSchedule};
 use std::path::{Path, PathBuf};
@@ -34,19 +34,21 @@ pub fn run(argv: &[String]) -> Result<(), String> {
     let input = input.ok_or("pack needs an input schedule file")?;
     let _obs = sink.arm();
 
-    let src = std::fs::read(&input).map_err(|e| format!("cannot read {input}: {e}"))?;
-    let digest = snap::source_digest(&src);
     let out_path = output
         .map(PathBuf::from)
         .unwrap_or_else(|| snap::sidecar_path(Path::new(&input)));
 
     if check {
-        return check_pack(&input, &out_path, digest);
+        return check_pack(&input, &out_path, digest_file(&input)?);
     }
 
-    let prep = {
+    // One read: the stored digest describes exactly the bytes parsed.
+    let (prep, digest) = {
         let _s = obs::span("ingest");
-        PreparedSchedule::new(load_schedule_threads(&input, threads)?)
+        let src = read_source(&input)?;
+        let digest = digest_source(&src);
+        let prep = PreparedSchedule::new(parse_schedule_src(&input, &src, threads)?);
+        (prep, digest)
     };
     snap::write_pack_file(&prep, digest, &out_path)
         .map_err(|e| format!("cannot pack {input}: {e}"))?;

@@ -220,6 +220,67 @@ fn render_rejects_unknown_format() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown format"));
 }
 
+/// `pack`, `info`, `pack --check` and `render --pack-sidecar` agree on
+/// one sidecar: the stored digest is that of the input's bytes, pack
+/// renders equal text renders, a full-extent pack render gathers no
+/// index while a windowed one culls through it, and an edited input is
+/// reported stale and rebuilt.
+#[test]
+fn pack_sidecar_lifecycle() {
+    let dir = tmp();
+    let input = demo_schedule(&dir);
+    let inp = input.to_str().unwrap();
+    let out = jedule(&["pack", inp]);
+    assert!(out.status.success());
+    let digest = jedule_core::snap::source_digest(&std::fs::read(&input).unwrap());
+    let note = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        note.contains(&format!("source digest {digest:016x}")),
+        "{note}"
+    );
+    assert!(jedule(&["pack", inp, "--check"]).status.success());
+    let info = jedule(&["info", inp]);
+    assert!(String::from_utf8_lossy(&info.stdout).contains("pack     : v1, fresh"));
+
+    // Renders `input` to `name` with `extra` flags and `--timings`:
+    // the output bytes and the timings report.
+    let render = |extra: &[&str], name: &str| {
+        let path = dir.join(name);
+        let mut args = vec!["render", inp, "-o", path.to_str().unwrap(), "--timings"];
+        args.extend_from_slice(extra);
+        let out = jedule(&args);
+        assert!(out.status.success(), "{args:?}");
+        let timings = String::from_utf8_lossy(&out.stderr).into_owned();
+        (std::fs::read(&path).unwrap(), timings)
+    };
+    let (text, _) = render(&[], "text.svg");
+    let (packed, timings) = render(&["--pack-sidecar"], "packed.svg");
+    assert_eq!(packed, text);
+    assert!(timings.contains("ingest.digest") && timings.contains("pack.load"));
+    assert!(!timings.contains("pack.index_gather"), "{timings}");
+
+    let (text_w, _) = render(&["--window", "4.5", "9"], "text_w.svg");
+    let (packed_w, timings) = render(&["--window", "4.5", "9", "--pack-sidecar"], "packed_w.svg");
+    assert_eq!(packed_w, text_w);
+    assert!(timings.contains("pack.index_gather"), "{timings}");
+    let culled: usize = timings
+        .lines()
+        .find_map(|l| l.trim().strip_prefix("render.tasks_culled"))
+        .and_then(|v| v.trim().parse().ok())
+        .expect("culled counter reported");
+    assert!(culled > 0, "{timings}");
+
+    let mut edited = std::fs::read(&input).unwrap();
+    edited.push(b'\n');
+    std::fs::write(&input, edited).unwrap();
+    let info = jedule(&["info", inp]);
+    assert!(String::from_utf8_lossy(&info.stdout).contains("pack     : v1, STALE"));
+    assert!(!jedule(&["pack", inp, "--check"]).status.success());
+    let (rebuilt, _) = render(&["--pack-sidecar"], "rebuilt.svg");
+    assert_eq!(rebuilt, text);
+    assert!(jedule(&["pack", inp, "--check"]).status.success());
+}
+
 #[test]
 fn info_reports_stats_and_json() {
     let dir = tmp();

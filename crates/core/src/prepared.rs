@@ -23,7 +23,8 @@
 //! owned schedule ([`PreparedSchedule::new`]), a borrowed one
 //! ([`PreparedSchedule::borrowed`], the one-shot form behind
 //! `render(&Schedule)`, no clone) or a loaded `.jpack` snapshot
-//! ([`PreparedSchedule::from_pack`], caches pre-seeded).
+//! ([`PreparedSchedule::from_pack`]: columns, extents and composites
+//! pre-seeded, the index gathered from the pack on first query).
 //!
 //! All caches are [`OnceLock`]s: a `PreparedSchedule` is `Send + Sync`,
 //! costs nothing beyond the schedule itself until a consumer asks for a
@@ -37,7 +38,7 @@ use crate::composite::{composite_tasks_columnar, CompositeOptions};
 use crate::index::ScheduleIndex;
 use crate::model::{Cluster, MetaInfo, Schedule, Task};
 use crate::obs;
-use crate::snap::{PackNames, PackedSchedule};
+use crate::snap::{PackIndex, PackNames, PackedSchedule};
 use std::sync::OnceLock;
 
 /// A [`Schedule`] plus memoized derived data for serving many renders.
@@ -62,18 +63,35 @@ pub struct PreparedSchedule<'a> {
 
 /// Where the tasks come from. Owned and borrowed sources hold the full
 /// `Schedule` from the start; a packed source keeps the cheap structure
-/// (clusters, meta, lazily read names) and materializes `schedule` only
-/// on demand.
+/// and materializes `schedule` only on demand.
 #[derive(Debug)]
 enum Source<'a> {
     Owned(Schedule),
     Borrowed(&'a Schedule),
-    Packed {
-        clusters: Vec<Cluster>,
-        meta: MetaInfo,
-        names: PackNames,
-        schedule: OnceLock<Schedule>,
-    },
+    Packed(Box<PackSource>),
+}
+
+/// A loaded pack's cheap structure (clusters, meta, lazily read names,
+/// the stored index rows) and what is built from it on demand.
+#[derive(Debug)]
+struct PackSource {
+    clusters: Vec<Cluster>,
+    meta: MetaInfo,
+    names: PackNames,
+    index: PackIndex,
+    /// The cluster rows alone, gathered for window culling.
+    cull: OnceLock<ScheduleIndex>,
+    schedule: OnceLock<Schedule>,
+}
+
+impl PackSource {
+    /// Gathers the stored index rows ([`PackIndex::gather`]) under the
+    /// span that names the cost.
+    fn gather(&self, columns: &TaskColumns, with_hosts: bool) -> ScheduleIndex {
+        let _s = obs::span("pack.index_gather");
+        obs::count("prepared.cache_build", 1);
+        self.index.gather(&self.clusters, columns, with_hosts)
+    }
 }
 
 impl<'a> PreparedSchedule<'a> {
@@ -101,12 +119,14 @@ impl<'a> PreparedSchedule<'a> {
         }
     }
 
-    /// Wraps a loaded `.jpack` snapshot. Every cache a windowed render
-    /// touches (index, extents, columns, composites) is pre-seeded from
-    /// the pack — the inverse of the text path, where the schedule is
-    /// eager and the caches lazy. Here only the full `Schedule` (task
-    /// structs with owned strings) stays lazy; rendering never asks for
-    /// it.
+    /// Wraps a loaded `.jpack` snapshot. The extents, columns and
+    /// composites are pre-seeded from the pack — the inverse of the text
+    /// path, where the schedule is eager and the caches lazy. The
+    /// interval index is gathered from the pack's validated rows on
+    /// first query: the cluster rows for window culling
+    /// ([`Self::cull_index`]), every row for [`Self::index`]. The full
+    /// `Schedule` (task structs with owned strings) stays lazy; neither
+    /// rendering nor gathering asks for it.
     pub fn from_pack(packed: PackedSchedule) -> Self {
         let PackedSchedule {
             clusters,
@@ -119,13 +139,14 @@ impl<'a> PreparedSchedule<'a> {
             names,
             ..
         } = packed;
-        let prep = PreparedSchedule::with_source(Source::Packed {
+        let prep = PreparedSchedule::with_source(Source::Packed(Box::new(PackSource {
             clusters,
             meta,
             names,
+            index,
+            cull: OnceLock::new(),
             schedule: OnceLock::new(),
-        });
-        let _ = prep.index.set(index);
+        })));
         let _ = prep.global.set(global);
         let _ = prep.per_cluster.set(per_cluster);
         let _ = prep.columns.set(columns);
@@ -135,7 +156,7 @@ impl<'a> PreparedSchedule<'a> {
 
     /// Whether this schedule came from a `.jpack` snapshot.
     pub fn is_packed(&self) -> bool {
-        matches!(self.source, Source::Packed { .. })
+        matches!(self.source, Source::Packed(_))
     }
 
     /// Whether the full `Schedule` exists. Owned and borrowed sources
@@ -144,7 +165,7 @@ impl<'a> PreparedSchedule<'a> {
     /// render path never does.
     pub fn is_materialized(&self) -> bool {
         match &self.source {
-            Source::Packed { schedule, .. } => schedule.get().is_some(),
+            Source::Packed(p) => p.schedule.get().is_some(),
             _ => true,
         }
     }
@@ -156,17 +177,14 @@ impl<'a> PreparedSchedule<'a> {
         match &self.source {
             Source::Owned(s) => s,
             Source::Borrowed(s) => s,
-            Source::Packed {
-                clusters,
-                meta,
-                names,
-                schedule,
-            } => schedule.get_or_init(|| {
+            Source::Packed(p) => p.schedule.get_or_init(|| {
                 let _s = obs::span("prepare.materialize");
                 Schedule {
-                    clusters: clusters.clone(),
-                    tasks: names.build_tasks(self.columns.get().expect("packed columns preset")),
-                    meta: meta.clone(),
+                    clusters: p.clusters.clone(),
+                    tasks: p
+                        .names
+                        .build_tasks(self.columns.get().expect("packed columns preset")),
+                    meta: p.meta.clone(),
                 }
             }),
         }
@@ -175,7 +193,7 @@ impl<'a> PreparedSchedule<'a> {
     /// The clusters, without materializing a packed schedule.
     pub fn clusters(&self) -> &[Cluster] {
         match &self.source {
-            Source::Packed { clusters, .. } => clusters,
+            Source::Packed(p) => &p.clusters,
             _ => &self.schedule().clusters,
         }
     }
@@ -183,7 +201,7 @@ impl<'a> PreparedSchedule<'a> {
     /// The meta info, without materializing a packed schedule.
     pub fn meta(&self) -> &MetaInfo {
         match &self.source {
-            Source::Packed { meta, .. } => meta,
+            Source::Packed(p) => &p.meta,
             _ => &self.schedule().meta,
         }
     }
@@ -192,7 +210,7 @@ impl<'a> PreparedSchedule<'a> {
     /// (label paths read it straight from the pack's string blob).
     pub fn task_id(&self, ti: usize) -> &str {
         match &self.source {
-            Source::Packed { names, .. } => names.task_id(ti),
+            Source::Packed(p) => p.names.task_id(ti),
             _ => &self.schedule().tasks[ti].id,
         }
     }
@@ -200,7 +218,7 @@ impl<'a> PreparedSchedule<'a> {
     /// Number of tasks, without materializing a packed schedule.
     pub fn task_count(&self) -> usize {
         match &self.source {
-            Source::Packed { .. } => self.columns.get().expect("packed columns preset").len(),
+            Source::Packed(_) => self.columns.get().expect("packed columns preset").len(),
             _ => self.schedule().tasks.len(),
         }
     }
@@ -212,19 +230,24 @@ impl<'a> PreparedSchedule<'a> {
         match self.source {
             Source::Owned(s) => s,
             Source::Borrowed(s) => s.clone(),
-            Source::Packed { schedule, .. } => schedule.into_inner().expect("just materialized"),
+            Source::Packed(p) => p.schedule.into_inner().expect("just materialized"),
         }
     }
 
-    /// The interval index, built with per-host rows on first use (a
+    /// The interval index with per-host rows, built on first use (a
     /// superset of the cluster-only index, so one cache serves window
     /// culling, the composite sweep, statistics and hit-testing alike).
+    /// A pack gathers it from its stored rows without materializing the
+    /// `Schedule`.
     pub fn index(&self) -> &ScheduleIndex {
         if let Some(built) = self.index.get() {
             obs::count("prepared.cache_hit", 1);
             return built;
         }
         self.index.get_or_init(|| {
+            if let Source::Packed(p) = &self.source {
+                return p.gather(self.columns(), true);
+            }
             let schedule = self.schedule();
             let _s = obs::span("prepare.index");
             obs::count("prepared.cache_build", 1);
@@ -232,12 +255,19 @@ impl<'a> PreparedSchedule<'a> {
         })
     }
 
-    /// The interval index if it already exists — preset by a pack, built
-    /// by [`Self::warm`] or by an earlier caller — without building it.
-    /// Window culling asks this way: for a one-shot render, building the
-    /// host-row index costs more than the column scan it would save.
-    pub fn index_if_built(&self) -> Option<&ScheduleIndex> {
-        self.index.get()
+    /// The index window culling queries: the full index once built (by
+    /// [`Self::index`] or [`Self::warm`]), else a pack's cluster rows
+    /// alone, gathered on first call and reused by every later view. A
+    /// one-shot text bundle gets `None`: building its index from the
+    /// tasks would cost more than the column scan it saves.
+    pub fn cull_index(&self) -> Option<&ScheduleIndex> {
+        if let Some(built) = self.index.get() {
+            return Some(built);
+        }
+        match &self.source {
+            Source::Packed(p) => Some(p.cull.get_or_init(|| p.gather(self.columns(), false))),
+            _ => None,
+        }
     }
 
     /// Eagerly builds every cache a windowed render touches (index,

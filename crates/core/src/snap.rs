@@ -36,10 +36,18 @@
 //!
 //! Validation happens entirely inside [`load`]: section bounds and
 //! alignment, CSR monotonicity, id ranges, row bounds against cluster
-//! geometry, and one UTF-8 pass over the blob with char-boundary checks
-//! for every `(offset, len)` pair. After a successful load, every later
-//! access is plain indexing — a hostile pack can produce a [`PackError`],
-//! never UB or a panic.
+//! geometry, the `(start, task)` order of every stored index row, and
+//! one UTF-8 pass over the blob with char-boundary checks for every
+//! `(offset, len)` pair. After a successful load, every later access is
+//! plain indexing — a hostile pack can produce a [`PackError`], never UB
+//! or a panic.
+//!
+//! The index is validated at load but gathered on first query: the
+//! loaded pack keeps its sorted id lists as borrowed sections, and
+//! [`PreparedSchedule`] copies them into a [`ScheduleIndex`] only when
+//! something asks — the cluster rows alone for window culling, every
+//! row for [`PreparedSchedule::index`]. A full-extent render gathers
+//! nothing.
 //!
 //! [`PreparedSchedule`]: crate::PreparedSchedule
 //! [`TaskColumns`]: crate::TaskColumns
@@ -124,16 +132,40 @@ fn bad(msg: impl Into<String>) -> PackError {
 // Digests
 // ---------------------------------------------------------------------------
 
-/// Byte-wise FNV-1a-64 — the digest of the *source text* stored in the
-/// header. Identical to the serve ETag digest so a pack sidecar and
-/// serve's stat-validated digest cache agree byte for byte.
-pub fn source_digest(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
+const FNV_OFFSET: u64 = 0xcbf29ce484222325;
+const FNV_PRIME: u64 = 0x100000001b3;
+
+/// Folds `bytes` into a running byte-wise FNV-1a-64 state.
+fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
+        h ^= u64::from(b);
+        h = h.wrapping_mul(FNV_PRIME);
     }
     h
+}
+
+/// Byte-wise FNV-1a-64 — the digest of the *source text* stored in the
+/// header, and the workspace's one content digest: serve's ETags and
+/// the golden-figure gate use it too, so a pack sidecar and serve's
+/// stat-validated digest cache agree byte for byte.
+pub fn source_digest(bytes: &[u8]) -> u64 {
+    fnv1a(FNV_OFFSET, bytes)
+}
+
+/// [`source_digest`] of everything `reader` yields, streamed through one
+/// fixed buffer instead of a copy of the whole input. A sidecar
+/// freshness check needs only the digest, never the text.
+pub fn source_digest_reader(mut reader: impl std::io::Read) -> std::io::Result<u64> {
+    let mut buf = vec![0u8; 1 << 16];
+    let mut h = FNV_OFFSET;
+    loop {
+        match reader.read(&mut buf) {
+            Ok(0) => return Ok(h),
+            Ok(k) => h = fnv1a(h, &buf[..k]),
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
 }
 
 /// Word-at-a-time FNV-1a-64 variant over the pack body. Folding eight
@@ -142,18 +174,14 @@ pub fn source_digest(bytes: &[u8]) -> u64 {
 /// than the whole load is allowed to. Any flipped byte still changes a
 /// folded word, so corruption detection is equivalent.
 fn body_digest(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
+    let mut h = FNV_OFFSET;
     let mut chunks = bytes.chunks_exact(8);
     for c in &mut chunks {
         let w = u64::from_le_bytes([c[0], c[1], c[2], c[3], c[4], c[5], c[6], c[7]]);
         h ^= w;
-        h = h.wrapping_mul(0x100000001b3);
+        h = h.wrapping_mul(FNV_PRIME);
     }
-    for &b in chunks.remainder() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
+    fnv1a(h, chunks.remainder())
 }
 
 // ---------------------------------------------------------------------------
@@ -578,9 +606,9 @@ pub fn write_pack(prep: &PreparedSchedule, src_digest: u64) -> Result<Vec<u8>, P
     }
 
     // The index, stored as sorted task-id lists (entry order). Start and
-    // end values are regathered from the columns at load; the prefix-max
-    // structure is recomputed in one pass — both are cheaper to rebuild
-    // than to store and digest.
+    // end values are gathered from the columns when the loaded bundle is
+    // first queried, and the prefix-max structure is recomputed in the
+    // same pass — both are cheaper to rebuild than to store and digest.
     let mut cl_offsets: Vec<u32> = vec![0];
     let mut cl_ids: Vec<u32> = Vec::new();
     let mut host_offsets: Vec<u32> = vec![0];
@@ -781,7 +809,7 @@ pub struct PackedSchedule {
     pub(crate) clusters: Vec<Cluster>,
     pub(crate) meta: MetaInfo,
     pub(crate) columns: TaskColumns,
-    pub(crate) index: ScheduleIndex,
+    pub(crate) index: PackIndex,
     pub(crate) global: Option<TimeExtent>,
     pub(crate) per_cluster: Vec<Option<TimeExtent>>,
     pub(crate) composites: Vec<Task>,
@@ -896,6 +924,68 @@ impl PackNames {
     }
 }
 
+/// The pack's stored interval index: the per-cluster and per-host
+/// sorted task-id lists, borrowed from the shared buffer. [`load`] has
+/// checked every row's id range and `(start, task)` order, so
+/// [`PackIndex::gather`] cannot fail.
+pub(crate) struct PackIndex {
+    cluster_offsets: PackSlice<u32>,
+    cluster_ids: PackSlice<u32>,
+    host_offsets: PackSlice<u32>,
+    host_ids: PackSlice<u32>,
+}
+
+impl fmt::Debug for PackIndex {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "PackIndex({} cluster entries, {} host entries)",
+            self.cluster_ids.len, self.host_ids.len
+        )
+    }
+}
+
+impl PackIndex {
+    /// Copies the stored rows into a [`ScheduleIndex`], reading each
+    /// entry's span from `columns`: the cluster rows alone (what window
+    /// culling queries), or every host row too when `with_hosts`.
+    /// `clusters` and `columns` are the same pack's.
+    pub(crate) fn gather(
+        &self,
+        clusters: &[Cluster],
+        columns: &TaskColumns,
+        with_hosts: bool,
+    ) -> ScheduleIndex {
+        let (starts, ends) = (columns.starts(), columns.ends());
+        let seq = |ids: &[u32]| {
+            IntervalSeq::from_sorted_entries(
+                ids.iter()
+                    .map(|&id| IndexEntry {
+                        start: starts[id as usize],
+                        end: ends[id as usize],
+                        task: id,
+                    })
+                    .collect(),
+            )
+        };
+        let (cl_offsets, cl_ids) = (self.cluster_offsets.as_slice(), self.cluster_ids.as_slice());
+        let (host_offsets, host_ids) = (self.host_offsets.as_slice(), self.host_ids.as_slice());
+        let mut cluster_indexes = Vec::with_capacity(clusters.len());
+        let mut row = 0usize;
+        for (ci, c) in clusters.iter().enumerate() {
+            let tasks = seq(&cl_ids[cl_offsets[ci] as usize..cl_offsets[ci + 1] as usize]);
+            let rows = row..row + c.hosts as usize;
+            row = rows.end;
+            let per_host = with_hosts.then(|| {
+                rows.map(|r| seq(&host_ids[host_offsets[r] as usize..host_offsets[r + 1] as usize]))
+                    .collect()
+            });
+            cluster_indexes.push(ClusterIndex::from_parts(c.id, c.hosts, tasks, per_host));
+        }
+        ScheduleIndex::from_parts(cluster_indexes, with_hosts)
+    }
+}
+
 /// Byte ranges of the 24 sections, by id.
 struct SectionTable {
     sections: [(usize, usize); SEC_COUNT as usize],
@@ -904,6 +994,12 @@ struct SectionTable {
 impl SectionTable {
     fn range(&self, id: u32) -> (usize, usize) {
         self.sections[(id - 1) as usize]
+    }
+
+    /// A typed view of section `id` that keeps `buf` alive.
+    fn slice<T: ColElem>(&self, buf: &Arc<PackBuf>, id: u32) -> Result<PackSlice<T>, PackError> {
+        let (off, len) = self.range(id);
+        PackSlice::new(buf, off, len)
     }
 }
 
@@ -996,38 +1092,26 @@ fn check_blob_pair(off: u32, len: u32, blob: &str, what: &str) -> Result<(), Pac
     Ok(())
 }
 
-/// Gathers one sorted-id list into an [`IntervalSeq`], validating id
-/// bounds and (start, task) sort order along the way.
-fn gather_seq(
-    ids: &[u32],
-    starts: &[f64],
-    ends: &[f64],
-    what: &str,
-) -> Result<IntervalSeq, PackError> {
+/// Checks one stored index row: every task id in range and the entries
+/// in `(start, task)` order — what [`PackIndex::gather`] relies on.
+fn check_seq(ids: &[u32], starts: &[f64], what: &str) -> Result<(), PackError> {
     let n = starts.len();
     if ids.len() > n {
         return Err(bad(format!("{what}: {} entries for {n} tasks", ids.len())));
     }
-    let mut entries = Vec::with_capacity(ids.len());
     let mut prev: Option<(f64, u32)> = None;
     for &id in ids {
-        if id as usize >= n {
+        let Some(&s) = starts.get(id as usize) else {
             return Err(bad(format!("{what}: task id {id} out of range ({n})")));
-        }
-        let s = starts[id as usize];
+        };
         if let Some((ps, pid)) = prev {
             if ps.total_cmp(&s).then(pid.cmp(&id)) == std::cmp::Ordering::Greater {
                 return Err(bad(format!("{what}: entries not sorted by (start, task)")));
             }
         }
         prev = Some((s, id));
-        entries.push(IndexEntry {
-            start: s,
-            end: ends[id as usize],
-            task: id,
-        });
     }
-    Ok(IntervalSeq::from_sorted_entries(entries))
+    Ok(())
 }
 
 /// Bounds-checked cursor over the byte-packed composite section.
@@ -1330,28 +1414,19 @@ fn load_from(buf: Arc<PackBuf>) -> Result<PackedSchedule, PackError> {
         host_ids.len(),
         "index host offsets",
     )?;
-    let index = {
-        let _g = obs::span("pack.index_gather");
-        let mut cluster_indexes = Vec::with_capacity(ncl);
+    {
+        let _c = obs::span("pack.index_check");
         let mut row = 0usize;
         for (ci, c) in clusters.iter().enumerate() {
             let ids = &cl_ids[cl_offsets[ci] as usize..cl_offsets[ci + 1] as usize];
-            let tasks = gather_seq(ids, starts, ends, "index cluster entries")?;
-            let mut per_host = Vec::with_capacity(c.hosts as usize);
+            check_seq(ids, starts, "index cluster entries")?;
             for _ in 0..c.hosts {
                 let ids = &host_ids[host_offsets[row] as usize..host_offsets[row + 1] as usize];
-                per_host.push(gather_seq(ids, starts, ends, "index host entries")?);
+                check_seq(ids, starts, "index host entries")?;
                 row += 1;
             }
-            cluster_indexes.push(ClusterIndex::from_parts(
-                c.id,
-                c.hosts,
-                tasks,
-                Some(per_host),
-            ));
         }
-        ScheduleIndex::from_parts(cluster_indexes, true)
-    };
+    }
 
     // --- Allocation / attribute structure (lazy, but validated now) -------
     let alloc_offsets = u32_section(&buf, table.range(SEC_ALLOC_OFFSETS))?;
@@ -1412,24 +1487,22 @@ fn load_from(buf: Arc<PackBuf>) -> Result<PackedSchedule, PackError> {
     }
 
     // --- Assemble borrowed columns + the lazy remainder -------------------
-    let col_f64 = |id: u32| -> Result<Col<f64>, PackError> {
-        let (off, len) = table.range(id);
-        Ok(Col::Packed(PackSlice::new(&buf, off, len)?))
-    };
-    let col_u32 = |id: u32| -> Result<Col<u32>, PackError> {
-        let (off, len) = table.range(id);
-        Ok(Col::Packed(PackSlice::new(&buf, off, len)?))
-    };
     let columns = TaskColumns::from_parts(
-        col_f64(SEC_STARTS)?,
-        col_f64(SEC_ENDS)?,
-        col_u32(SEC_KIND_IDS)?,
+        Col::Packed(table.slice(&buf, SEC_STARTS)?),
+        Col::Packed(table.slice(&buf, SEC_ENDS)?),
+        Col::Packed(table.slice(&buf, SEC_KIND_IDS)?),
         kind_names,
-        col_u32(SEC_SEG_OFFSETS)?,
-        col_u32(SEC_SEG_CLUSTERS)?,
-        col_u32(SEC_SEG_ROW0)?,
-        col_u32(SEC_SEG_NROWS)?,
+        Col::Packed(table.slice(&buf, SEC_SEG_OFFSETS)?),
+        Col::Packed(table.slice(&buf, SEC_SEG_CLUSTERS)?),
+        Col::Packed(table.slice(&buf, SEC_SEG_ROW0)?),
+        Col::Packed(table.slice(&buf, SEC_SEG_NROWS)?),
     );
+    let index = PackIndex {
+        cluster_offsets: table.slice(&buf, SEC_IDX_CLUSTER_OFFSETS)?,
+        cluster_ids: table.slice(&buf, SEC_IDX_CLUSTER_IDS)?,
+        host_offsets: table.slice(&buf, SEC_IDX_HOST_OFFSETS)?,
+        host_ids: table.slice(&buf, SEC_IDX_HOST_IDS)?,
+    };
     let names = PackNames {
         buf: Arc::clone(&buf),
         n,
@@ -1534,10 +1607,21 @@ mod tests {
         );
         assert_eq!(packed.global_extent(), owned.global_extent());
         assert_eq!(packed.composites(), owned.composites());
+        // Culling gathers the cluster rows alone; `index()` and `warm()`
+        // gather every row. None of it materializes the schedule.
+        let cull = packed.cull_index().unwrap();
+        assert!(!cull.has_hosts());
+        assert!(packed.index().has_hosts());
+        packed.warm();
+        assert!(!packed.is_materialized());
         for c in &s.clusters {
             let a = packed.index().cluster(c.id).unwrap();
             let b = owned.index().cluster(c.id).unwrap();
             assert_eq!(a.tasks().entries(), b.tasks().entries());
+            assert_eq!(
+                cull.cluster(c.id).unwrap().tasks().entries(),
+                b.tasks().entries()
+            );
             for h in 0..c.hosts {
                 assert_eq!(
                     a.host(h).unwrap().entries(),
@@ -1548,6 +1632,51 @@ mod tests {
             }
             assert_eq!(a.query(0.0, 10.0), b.query(0.0, 10.0));
         }
+        // Once the full index exists, culling reuses it.
+        assert!(std::ptr::eq(packed.cull_index().unwrap(), packed.index()));
+    }
+
+    #[test]
+    fn loading_gathers_no_index() {
+        let p = pack_of(&sched());
+        let col = obs::Collector::new();
+        let _g = col.install();
+        let packed = PreparedSchedule::from_pack(load_bytes(&p).unwrap());
+        let gathers = || {
+            col.report()
+                .spans
+                .iter()
+                .filter(|s| s.name == "pack.index_gather")
+                .count()
+        };
+        assert_eq!(gathers(), 0);
+        packed.cull_index();
+        packed.cull_index();
+        assert_eq!(gathers(), 1);
+        packed.index();
+        packed.index();
+        assert_eq!(gathers(), 2);
+        assert!(!packed.is_materialized());
+    }
+
+    #[test]
+    fn text_bundles_cull_only_once_warmed() {
+        let prep = PreparedSchedule::new(sched());
+        assert!(prep.cull_index().is_none());
+        prep.warm();
+        assert!(std::ptr::eq(prep.cull_index().unwrap(), prep.index()));
+    }
+
+    #[test]
+    fn source_digest_is_fnv1a64() {
+        // Published FNV-1a 64-bit test vectors.
+        assert_eq!(source_digest(b""), 0xcbf29ce484222325);
+        assert_eq!(source_digest(b"a"), 0xaf63dc4c8601ec8c);
+        assert_eq!(source_digest(b"foobar"), 0x85944171f73967e8);
+        assert_eq!(
+            source_digest_reader(&b"foobar"[..]).unwrap(),
+            source_digest(b"foobar")
+        );
     }
 
     #[test]

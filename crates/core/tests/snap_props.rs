@@ -8,6 +8,7 @@
 use jedule_core::snap::{self, load_bytes, source_digest, write_pack, PackError};
 use jedule_core::{Allocation, HostSet, PreparedSchedule, Schedule, ScheduleBuilder, Task};
 use proptest::prelude::*;
+use std::io::{self, Read};
 
 /// Mirrors the private layout constants in `snap.rs`; asserted against
 /// the real file in `layout_constants_match` below so drift fails loudly.
@@ -41,6 +42,124 @@ fn body_fnv(bytes: &[u8]) -> u64 {
 fn restamp(pack: &mut [u8]) {
     let d = body_fnv(&pack[HEADER_LEN..]);
     pack[24..32].copy_from_slice(&d.to_le_bytes());
+}
+
+/// Section ids of the task start column and the stored index rows.
+const SEC_STARTS: u32 = 1;
+const SEC_IDX_CLUSTER_OFFSETS: u32 = 14;
+const SEC_IDX_CLUSTER_IDS: u32 = 15;
+const SEC_IDX_HOST_OFFSETS: u32 = 16;
+const SEC_IDX_HOST_IDS: u32 = 17;
+
+fn u32_at(pack: &[u8], off: usize) -> u32 {
+    u32::from_le_bytes(pack[off..off + 4].try_into().unwrap())
+}
+
+fn u64_at(pack: &[u8], off: usize) -> usize {
+    u64::from_le_bytes(pack[off..off + 8].try_into().unwrap()) as usize
+}
+
+/// `(offset, length)` in bytes of section `id`, read from the table.
+fn section(pack: &[u8], id: u32) -> (usize, usize) {
+    (0..SEC_COUNT)
+        .map(|i| HEADER_LEN + i * TABLE_ENTRY_LEN)
+        .find(|&e| u32_at(pack, e) == id)
+        .map(|e| (u64_at(pack, e + 8), u64_at(pack, e + 16)))
+        .expect("section present")
+}
+
+/// Every single-entry corruption of one index section — the cluster
+/// rows (id 15, CSR in 14) or the host rows (id 17, CSR in 16) — with
+/// the digest re-stamped, paired with the message `load` must give:
+/// each task id replaced by the task count, and each pair of adjacent
+/// entries of one row with distinct starts swapped.
+fn index_corruptions(pack: &[u8], offsets_id: u32, ids_id: u32) -> Vec<(Vec<u8>, String)> {
+    let what = if ids_id == SEC_IDX_CLUSTER_IDS {
+        "index cluster entries"
+    } else {
+        "index host entries"
+    };
+    let (starts_off, starts_len) = section(pack, SEC_STARTS);
+    let n = starts_len / 8;
+    let start_of = |id: u32| {
+        f64::from_le_bytes(
+            pack[starts_off + 8 * id as usize..][..8]
+                .try_into()
+                .unwrap(),
+        )
+    };
+    let (offs_off, offs_len) = section(pack, offsets_id);
+    let (ids_off, ids_len) = section(pack, ids_id);
+    let id_at = |i: usize| ids_off + 4 * i;
+    let mut out = Vec::new();
+    for i in 0..ids_len / 4 {
+        let mut q = pack.to_vec();
+        q[id_at(i)..id_at(i) + 4].copy_from_slice(&(n as u32).to_le_bytes());
+        restamp(&mut q);
+        out.push((q, format!("{what}: task id {n} out of range ({n})")));
+    }
+    for r in 0..offs_len / 4 - 1 {
+        let (lo, hi) = (
+            u32_at(pack, offs_off + 4 * r) as usize,
+            u32_at(pack, offs_off + 4 * r + 4) as usize,
+        );
+        for i in lo..hi.saturating_sub(1) {
+            let (a, b) = (u32_at(pack, id_at(i)), u32_at(pack, id_at(i + 1)));
+            if start_of(a) == start_of(b) {
+                continue;
+            }
+            let mut q = pack.to_vec();
+            q[id_at(i)..id_at(i) + 4].copy_from_slice(&b.to_le_bytes());
+            q[id_at(i + 1)..id_at(i + 1) + 4].copy_from_slice(&a.to_le_bytes());
+            restamp(&mut q);
+            out.push((q, format!("{what}: entries not sorted by (start, task)")));
+        }
+    }
+    out
+}
+
+/// Loads every index corruption of `pack` and checks each is rejected
+/// by `load` itself, with the loader's own message. Returns how many
+/// corruptions each section got (cluster rows, host rows).
+fn assert_index_corruptions_rejected(pack: &[u8]) -> (usize, usize) {
+    let mut counts = [0usize; 2];
+    for (slot, (offsets_id, ids_id)) in [
+        (SEC_IDX_CLUSTER_OFFSETS, SEC_IDX_CLUSTER_IDS),
+        (SEC_IDX_HOST_OFFSETS, SEC_IDX_HOST_IDS),
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        for (q, want) in index_corruptions(pack, offsets_id, ids_id) {
+            match load_bytes(&q) {
+                Err(PackError::Format(m)) => assert!(m.contains(&want), "{m:?}, want {want:?}"),
+                other => panic!("corrupt index accepted: {other:?}, want {want:?}"),
+            }
+            counts[slot] += 1;
+        }
+    }
+    (counts[0], counts[1])
+}
+
+/// A reader that hands out at most `step` bytes per call and reports an
+/// interruption before every other read.
+struct ShortReader<'a> {
+    bytes: &'a [u8],
+    step: usize,
+    interrupt: bool,
+}
+
+impl Read for ShortReader<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        self.interrupt = !self.interrupt;
+        if self.interrupt {
+            return Err(io::ErrorKind::Interrupted.into());
+        }
+        let k = self.step.min(buf.len()).min(self.bytes.len());
+        buf[..k].copy_from_slice(&self.bytes[..k]);
+        self.bytes = &self.bytes[k..];
+        Ok(k)
+    }
 }
 
 /// Rich schedules: several clusters, multi-segment allocations over
@@ -116,8 +235,73 @@ fn layout_constants_match() {
     assert!(load_bytes(&q).is_ok());
 }
 
+/// Both kinds of index corruption, in both index sections, are caught
+/// by `load` — the gather that follows it cannot fail.
+#[test]
+fn restamped_index_corruption_is_rejected_at_load() {
+    let mut b = ScheduleBuilder::new()
+        .cluster(0, "c0", 4)
+        .cluster(1, "c1", 2);
+    for i in 0..12u32 {
+        let start = f64::from(i % 5);
+        b = b.task(
+            Task::new(format!("t{i}"), "work", start, start + 2.0).on(Allocation::contiguous(
+                i % 2,
+                0,
+                2,
+            )),
+        );
+    }
+    let p = pack_of(&b.build().unwrap());
+    let (cluster, host) = assert_index_corruptions_rejected(&p);
+    // Both sections saw both kinds: 12 ids plus swaps in the cluster
+    // rows, 24 ids plus swaps in the host rows.
+    assert!(cluster > 12 && host > 24, "{cluster} {host}");
+}
+
+#[test]
+fn streamed_digest_surfaces_read_errors() {
+    struct Broken;
+    impl Read for Broken {
+        fn read(&mut self, _: &mut [u8]) -> io::Result<usize> {
+            Err(io::Error::other("disk on fire"))
+        }
+    }
+    assert!(snap::source_digest_reader(Broken).is_err());
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// The streamed digest equals the in-memory one for any bytes and
+    /// any read pattern: short reads, interruptions, inputs both under
+    /// and over the internal buffer.
+    #[test]
+    fn streamed_digest_matches_source_digest(
+        seed in any::<u64>(),
+        len in prop_oneof![0usize..64, 0usize..200_000],
+        step in prop_oneof![1usize..16, 1usize..100_000],
+    ) {
+        let mut x = seed | 1;
+        let bytes: Vec<u8> = (0..len)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                x as u8
+            })
+            .collect();
+        let reader = ShortReader { bytes: &bytes, step, interrupt: false };
+        prop_assert_eq!(snap::source_digest_reader(reader).unwrap(), source_digest(&bytes));
+        prop_assert_eq!(snap::source_digest_reader(&bytes[..]).unwrap(), source_digest(&bytes));
+    }
+
+    /// Out-of-range ids and out-of-order entries in any generated pack's
+    /// cluster and host rows are rejected by `load`.
+    #[test]
+    fn restamped_index_corruption_is_always_rejected(s in arb_schedule()) {
+        assert_index_corruptions_rejected(&pack_of(&s));
+    }
 
     /// Write → load → materialize is the identity on schedules, and the
     /// stored source digest survives the trip.

@@ -313,12 +313,13 @@ pub fn layout_prepared_scratch(
     } else {
         &[]
     };
-    // Window culling queries the index only when the bundle already
-    // holds one: for a one-shot render, building it would cost more than
-    // the column scan it saves, and the scan's clip guard drops the same
+    // Window culling queries an index only where one comes cheap: a
+    // warmed bundle's, or a pack's cluster rows (gathered on first use).
+    // For a one-shot text render, building one would cost more than the
+    // column scan it saves, and the scan's clip guard drops the same
     // tasks.
     let cull = opts.cull && opts.time_window.is_some_and(|(t0, t1)| t1 > t0);
-    let index = if cull { prep.index_if_built() } else { None };
+    let index = if cull { prep.cull_index() } else { None };
 
     // The legend lists every task type of the schedule (plus the
     // composite swatch), independent of the time window: zooming must not

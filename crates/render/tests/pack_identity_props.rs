@@ -4,22 +4,53 @@
 //! SVG and PNG documents as a one-shot render of the original schedule —
 //! including task-label text (served from the pack's string blob without
 //! materializing tasks), the utilization profile (computed from the
-//! packed index), meta lines, and composite glyphs.
+//! packed index), meta lines, and composite glyphs. The pack's interval
+//! index is gathered only when a render queries it: a full-extent render
+//! gathers nothing, and a windowed one culls exactly as a warmed text
+//! bundle does.
 
-use jedule_core::snap;
+use jedule_core::{obs, snap};
 use jedule_core::{AlignMode, Allocation, PreparedSchedule, Schedule, ScheduleBuilder, Task};
 use jedule_render::html::{meta_json, TASK_EMBED_CAP};
-use jedule_render::{render, render_prepared, LodMode, OutputFormat, RenderOptions};
+use jedule_render::{
+    layout_prepared, render, render_prepared, LodMode, OutputFormat, RenderOptions,
+};
 use proptest::prelude::*;
 
-/// Round-trips a schedule through the in-memory pack encoder/loader.
-fn packed(s: &Schedule) -> PreparedSchedule<'static> {
-    let bytes = snap::write_pack(
+/// Writes a schedule to in-memory pack bytes.
+fn pack_bytes(s: &Schedule) -> Vec<u8> {
+    snap::write_pack(
         &PreparedSchedule::new(s.clone()),
         snap::source_digest(b"id"),
     )
-    .expect("pack writes");
-    PreparedSchedule::from_pack(snap::load_bytes(&bytes).expect("pack loads"))
+    .expect("pack writes")
+}
+
+/// Round-trips a schedule through the in-memory pack encoder/loader.
+fn packed(s: &Schedule) -> PreparedSchedule<'static> {
+    PreparedSchedule::from_pack(snap::load_bytes(&pack_bytes(s)).expect("pack loads"))
+}
+
+/// Tasks spread over `[0, 101)` on two clusters, so a narrow window
+/// leaves most of them outside it.
+fn spread_schedule() -> Schedule {
+    let mut b = ScheduleBuilder::new()
+        .cluster(0, "c", 4)
+        .cluster(1, "d", 2)
+        .meta("m", "v");
+    for i in 0..400u32 {
+        let start = f64::from(i) * 0.25;
+        b = b.task(
+            Task::new(
+                format!("t{i}"),
+                ["work", "io"][(i % 2) as usize],
+                start,
+                start + 1.5,
+            )
+            .on(Allocation::contiguous(i % 2, i % 2, 1)),
+        );
+    }
+    b.build().unwrap()
 }
 
 /// Schedules with attributes, meta, a second cluster and mixed widths,
@@ -172,4 +203,58 @@ fn packed_meta_json_over_the_cap_does_not_materialize() {
     );
     assert!(m.contains("\"truncated\":true"));
     assert_eq!(m, meta_json(&PreparedSchedule::borrowed(&s), &o));
+}
+
+/// Loading a pack and rendering its full extent never gathers the
+/// interval index: no render query needs it.
+#[test]
+fn full_extent_pack_render_gathers_no_index() {
+    let s = spread_schedule();
+    let bytes = pack_bytes(&s);
+    let col = obs::Collector::new();
+    let _g = col.install();
+    let prep = PreparedSchedule::from_pack(snap::load_bytes(&bytes).expect("pack loads"));
+    for format in [OutputFormat::Svg, OutputFormat::Png] {
+        let o = RenderOptions {
+            format,
+            ..RenderOptions::default()
+        };
+        assert_eq!(render_prepared(&prep, &o), render(&s, &o));
+    }
+    let spans = col.report().spans;
+    assert!(spans.iter().any(|sp| sp.name == "pack.load"));
+    assert!(
+        !spans.iter().any(|sp| sp.name == "pack.index_gather"),
+        "a full-extent render gathered the pack's index"
+    );
+    assert!(!prep.is_materialized());
+}
+
+/// A windowed render of a pack culls through its cluster rows exactly
+/// as a warmed text bundle culls through its built index: the same
+/// bytes and the same scene counters, with tasks actually culled.
+#[test]
+fn windowed_pack_render_culls_like_a_warmed_text_bundle() {
+    let s = spread_schedule();
+    let text = PreparedSchedule::new(s.clone());
+    text.warm();
+    let prep = packed(&s);
+    for (t0, t1) in [(10.0, 20.0), (0.0, 3.5), (55.25, 90.0), (99.0, 140.0)] {
+        for format in [OutputFormat::Svg, OutputFormat::Png] {
+            let o = RenderOptions {
+                format,
+                ..RenderOptions::default()
+            }
+            .with_time_window(t0, t1);
+            let (a, b) = (layout_prepared(&prep, &o), layout_prepared(&text, &o));
+            assert!(a.stats.culled > 0, "window {t0}..{t1}: nothing culled");
+            assert_eq!(a.stats, b.stats, "window {t0}..{t1}");
+            assert_eq!(
+                render_prepared(&prep, &o),
+                render_prepared(&text, &o),
+                "window {t0}..{t1} {format:?}"
+            );
+        }
+    }
+    assert!(!prep.is_materialized());
 }

@@ -16,18 +16,6 @@
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
-/// FNV-1a 64 — the same digest the golden-figure gate uses: tiny,
-/// dependency-free, stable across platforms. Doubles as the content
-/// half of `/render` ETags.
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
-}
-
 /// A small thread-safe LRU map. `get` refreshes recency; `insert`
 /// evicts the least-recently-used entries down to `cap`. A `cap` of 0
 /// disables caching entirely (every `get` misses).
@@ -106,13 +94,6 @@ impl<K: Ord + Clone, V> LruCache<K, V> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn digest_is_stable_and_content_sensitive() {
-        assert_eq!(fnv1a64(b""), 0xcbf29ce484222325);
-        assert_eq!(fnv1a64(b"jedule"), fnv1a64(b"jedule"));
-        assert_ne!(fnv1a64(b"jedule"), fnv1a64(b"jedulf"));
-    }
 
     #[test]
     fn lru_evicts_least_recently_used() {

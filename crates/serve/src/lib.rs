@@ -43,9 +43,10 @@ pub mod signal;
 pub mod tile;
 pub mod trace_ring;
 
-use cache::{fnv1a64, LruCache};
+use cache::LruCache;
 use http::{Request, Response};
 use jedule_core::obs::{self, AccessLog, AccessRecord, Collector, ObsReport, Registry};
+use jedule_core::snap::source_digest;
 use jedule_core::PreparedSchedule;
 use std::collections::BTreeMap;
 use std::io::Write as _;
@@ -978,7 +979,10 @@ pub fn resolve_under_root(root: &Path, file: &str) -> Result<PathBuf, String> {
 /// `"<content digest>-<option-key digest>"`. Same input bytes + same
 /// canonical options ⇒ same body ⇒ same ETag.
 fn etag_for(digest: u64, opt_key: &str) -> String {
-    format!("\"{digest:016x}-{:016x}\"", fnv1a64(opt_key.as_bytes()))
+    format!(
+        "\"{digest:016x}-{:016x}\"",
+        source_digest(opt_key.as_bytes())
+    )
 }
 
 /// The input's content digest, re-reading the file only when its
@@ -1003,7 +1007,7 @@ fn digest_for(state: &State, path: &Path) -> Result<(u64, Option<String>), Respo
             .map_err(|e| Response::text(404, format!("{}: {e}\n", path.display())))?
     };
     obs::count("serve.bytes_read", src.len() as u64);
-    let digest = fnv1a64(src.as_bytes());
+    let digest = source_digest(src.as_bytes());
     state
         .digests
         .insert(key, Arc::new(FileDigest { mtime, len, digest }));

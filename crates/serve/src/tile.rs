@@ -31,8 +31,9 @@
 //! `jedule_tile_lookups_total{fmt=…}` — hits + misses == lookups is an
 //! exact partition the tests and the bench assert.
 
-use crate::cache::{fnv1a64, LruCache};
+use crate::cache::LruCache;
 use jedule_core::obs::{self, Registry};
+use jedule_core::snap::source_digest;
 use jedule_render::{svg, tile as rtile, LayoutScratch, OutputFormat, RenderOptions, Scene};
 use std::cell::RefCell;
 use std::sync::Arc;
@@ -66,7 +67,7 @@ pub fn window_bucket(width: f64, window: Option<(f64, f64)>) -> u64 {
         Some((a, b)) => format!("w={width};win={a}:{b}"),
         None => format!("w={width};win=full"),
     };
-    fnv1a64(canon.as_bytes())
+    source_digest(canon.as_bytes())
 }
 
 /// What assembly needs to know about a figure without its scene.
