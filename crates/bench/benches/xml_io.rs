@@ -35,9 +35,6 @@ fn bench_xml(c: &mut Criterion) {
         g.bench_with_input(BenchmarkId::new("parse", n), &text, |b, t| {
             b.iter(|| black_box(read_schedule(t).unwrap()))
         });
-        g.bench_with_input(BenchmarkId::new("parse_streaming", n), &text, |b, t| {
-            b.iter(|| black_box(jedule_xmlio::read_schedule_streaming(t).unwrap()))
-        });
     }
     g.finish();
 }

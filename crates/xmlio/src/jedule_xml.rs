@@ -33,10 +33,21 @@
 //! additional `<node_property>` entries are preserved as task attributes.
 //! A `<meta_info>`/`<meta .../>` block (paper, §II-C2) is accepted as an
 //! alias for `<jedule_meta>`.
+//!
+//! [`read_schedule`] is single-pass: it consumes the tokens of the
+//! [`xml`] module's tokenizer and builds the schedule as tags open and
+//! close, so no element tree is built even for §VI's traces of "more than
+//! 200,000 individual tasks". It is exactly as strict as a walk over
+//! [`xml::parse`]'s tree, error for error; `tests/xml_reader_props.rs`
+//! holds that walk as its reference. Like every reader of the module,
+//! it rejects elements nested deeper than [`xml::MAX_DEPTH`].
+//! The writer builds an [`Element`] tree and serializes it.
 
 use crate::error::IoError;
-use crate::xml::{self, Element};
-use jedule_core::{Allocation, HostRange, HostSet, Schedule, ScheduleBuilder, Task};
+use crate::xml::{self, Element, Token, Tokenizer};
+use jedule_core::validate::validate_strict;
+use jedule_core::{Allocation, Cluster, HostRange, HostSet, MetaInfo, Schedule, Task};
+use std::borrow::Cow;
 use std::path::Path;
 
 const KNOWN_PROPS: [&str; 4] = ["id", "type", "start_time", "end_time"];
@@ -53,126 +64,378 @@ fn parse_u32(field: &str, v: &str) -> Result<u32, IoError> {
         .map_err(|_| IoError::number(field, v))
 }
 
-/// Reads a schedule from Jedule XML text.
+/// Reads a schedule from Jedule XML text in one pass over the tokens of
+/// [`xml`]'s tokenizer, with no element tree.
+///
+/// The result is the one a walk over [`xml::parse`]'s tree would give:
+/// the same schedule, or the same error. A syntax error anywhere wins,
+/// so the whole document is tokenized. Otherwise the first error of the
+/// earliest check in this order is returned: the root name, the
+/// `<jedule_meta>` entries, the `<meta_info>` entries, a missing
+/// `<platform>`, `<cluster>` attributes, no clusters, the tasks in
+/// document order, and last [`jedule_core::validate::validate_strict`].
+/// Only direct children count, and only the first `<platform>`,
+/// `<node_infos>` and per-configuration `<host_lists>`. A `<hosts>`
+/// range whose end passes `u32::MAX` is a format error naming the task.
 pub fn read_schedule(src: &str) -> Result<Schedule, IoError> {
-    let root = xml::parse(src)?;
-    if root.name != "jedule" {
-        return Err(IoError::format(format!(
-            "expected <jedule> root element, found <{}>",
-            root.name
-        )));
-    }
-    let mut b = ScheduleBuilder::new();
-
-    // Meta information: <jedule_meta><info .../> or <meta_info><meta .../>.
-    for meta_el in root
-        .find_all("jedule_meta")
-        .chain(root.find_all("meta_info"))
-    {
-        for info in meta_el.elements() {
-            if info.name == "info" || info.name == "meta" {
-                b = b.meta(info.require_attr("name")?, info.require_attr("value")?);
-            }
+    let mut tok = Tokenizer::new(src);
+    let mut walk = Walk::default();
+    while let Some(token) = tok.next()? {
+        match token {
+            Token::Start(name) => walk.start(name, tok.attrs()),
+            Token::End => walk.end(),
+            Token::Text(_) => {}
         }
     }
-
-    // Platform header: at least one cluster is required (paper, §II-C1).
-    let platform = root
-        .find("platform")
-        .ok_or_else(|| IoError::format("missing <platform> header"))?;
-    let mut n_clusters = 0u32;
-    for c in platform.find_all("cluster") {
-        let id = parse_u32("cluster id", c.require_attr("id")?)?;
-        let hosts = parse_u32("cluster hosts", c.require_attr("hosts")?)?;
-        let name = c
-            .get_attr("name")
-            .map(str::to_owned)
-            .unwrap_or_else(|| format!("cluster-{id}"));
-        b = b.cluster(id, name, hosts);
-        n_clusters += 1;
-    }
-    if n_clusters == 0 {
-        return Err(IoError::format(
-            "a schedule requires at least one <cluster>",
-        ));
-    }
-
-    // Tasks.
-    if let Some(infos) = root.find("node_infos") {
-        for node in infos.find_all("node_statistics") {
-            b = b.task(read_task(node)?);
-        }
-    }
-
-    Ok(b.build()?)
+    walk.finish()
 }
 
-fn read_task(node: &Element) -> Result<Task, IoError> {
-    let mut id: Option<String> = None;
-    let mut kind: Option<String> = None;
-    let mut start: Option<f64> = None;
-    let mut end: Option<f64> = None;
-    let mut attrs: Vec<(String, String)> = Vec::new();
+type Attrs<'a> = [(&'a str, Cow<'a, str>)];
 
-    for p in node.find_all("node_property") {
-        let name = p.require_attr("name")?;
-        let value = p.require_attr("value")?;
+fn attr<'s>(attrs: &'s Attrs, name: &str) -> Option<&'s str> {
+    attrs.iter().find(|(n, _)| *n == name).map(|(_, v)| &**v)
+}
+
+fn require<'s>(attrs: &'s Attrs, element: &str, name: &str) -> Result<&'s str, IoError> {
+    attr(attrs, name).ok_or_else(|| xml::missing_attr(element, name))
+}
+
+/// Check ranks: at the end the error of the lowest rank is returned.
+const ROOT: u8 = 0;
+const JEDULE_META: u8 = 1;
+const META_INFO: u8 = 2;
+const PLATFORM: u8 = 3;
+const CLUSTER: u8 = 4;
+const NO_CLUSTER: u8 = 5;
+const TASK: u8 = 6;
+
+/// What an open element is to the reader.
+#[derive(Clone, Copy)]
+enum Ctx {
+    Root,
+    /// `<jedule_meta>` or `<meta_info>`, by rank.
+    Meta(u8),
+    Platform,
+    NodeInfos,
+    Task,
+    Conf,
+    HostLists,
+    /// Checked for syntax only.
+    Other,
+}
+
+/// The reader's state between tokens.
+#[derive(Default)]
+struct Walk {
+    ctx: Vec<Ctx>,
+    /// The first error of the lowest rank so far.
+    error: Option<(u8, IoError)>,
+    /// Entries of every `<jedule_meta>`, then of every `<meta_info>`.
+    meta: [Vec<(String, String)>; 2],
+    platform_seen: bool,
+    node_infos_seen: bool,
+    clusters: Vec<Cluster>,
+    tasks: Vec<Task>,
+    task: TaskState,
+    conf: ConfState,
+}
+
+/// A `<node_statistics>` being read.
+#[derive(Default)]
+struct TaskState {
+    id: Option<String>,
+    kind: Option<String>,
+    start: Option<f64>,
+    end: Option<f64>,
+    attrs: Vec<(String, String)>,
+    allocations: Vec<Allocation>,
+    /// The first `<node_property>` error.
+    property_error: Option<IoError>,
+    /// The first failing configuration's error; it may quote the task
+    /// id, and the last `id` property wins, so it is built at the end.
+    conf_error: Option<ConfError>,
+}
+
+/// A `<configuration>` being read.
+#[derive(Default)]
+struct ConfState {
+    cluster: Option<u32>,
+    host_nb: Option<u32>,
+    ranges: Vec<HostRange>,
+    host_lists_seen: bool,
+    property_error: Option<IoError>,
+    hosts_error: Option<ConfError>,
+}
+
+enum ConfError {
+    /// An attribute or number error, which does not quote the task id.
+    Plain(IoError),
+    NoCluster,
+    Overflow {
+        start: u32,
+        nb: u32,
+    },
+    HostNb {
+        nb: u32,
+        count: u32,
+    },
+}
+
+impl ConfError {
+    fn for_task(self, id: &str) -> IoError {
+        IoError::format(match self {
+            ConfError::Plain(e) => return e,
+            ConfError::NoCluster => format!("task {id:?}: configuration without cluster_id"),
+            ConfError::Overflow { start, nb } => format!(
+                "task {id:?}: <hosts start=\"{start}\" nb=\"{nb}\"> ends past host index {}",
+                u32::MAX
+            ),
+            ConfError::HostNb { nb, count } => {
+                format!("task {id:?}: host_nb={nb} but host list contains {count} hosts")
+            }
+        })
+    }
+}
+
+impl Walk {
+    fn fail(&mut self, rank: u8, e: IoError) {
+        if self.error.as_ref().is_none_or(|(r, _)| rank < *r) {
+            self.error = Some((rank, e));
+        }
+    }
+
+    fn start(&mut self, name: &str, attrs: &Attrs) {
+        let ctx = match self.ctx.last().copied() {
+            None if name == "jedule" => Ctx::Root,
+            None => {
+                let e = format!("expected <jedule> root element, found <{name}>");
+                self.fail(ROOT, IoError::format(e));
+                Ctx::Other
+            }
+            Some(Ctx::Root) => match name {
+                "jedule_meta" => Ctx::Meta(JEDULE_META),
+                "meta_info" => Ctx::Meta(META_INFO),
+                "platform" if !self.platform_seen => {
+                    self.platform_seen = true;
+                    Ctx::Platform
+                }
+                "node_infos" if !self.node_infos_seen => {
+                    self.node_infos_seen = true;
+                    Ctx::NodeInfos
+                }
+                _ => Ctx::Other,
+            },
+            Some(Ctx::Meta(rank)) => {
+                if name == "info" || name == "meta" {
+                    match meta_entry(name, attrs) {
+                        Ok(kv) => self.meta[usize::from(rank == META_INFO)].push(kv),
+                        Err(e) => self.fail(rank, e),
+                    }
+                }
+                Ctx::Other
+            }
+            Some(Ctx::Platform) => {
+                if name == "cluster" {
+                    match cluster(attrs) {
+                        Ok(c) => self.clusters.push(c),
+                        Err(e) => self.fail(CLUSTER, e),
+                    }
+                }
+                Ctx::Other
+            }
+            Some(Ctx::NodeInfos) if name == "node_statistics" => {
+                self.task = TaskState::default();
+                Ctx::Task
+            }
+            Some(Ctx::Task) => match name {
+                "node_property" => {
+                    if self.task.property_error.is_none() {
+                        if let Err(e) = self.task.property(attrs) {
+                            self.task.property_error = Some(e);
+                        }
+                    }
+                    Ctx::Other
+                }
+                "configuration" => {
+                    self.conf = ConfState::default();
+                    Ctx::Conf
+                }
+                _ => Ctx::Other,
+            },
+            Some(Ctx::Conf) => match name {
+                "conf_property" => {
+                    if self.conf.property_error.is_none() {
+                        if let Err(e) = self.conf.property(attrs) {
+                            self.conf.property_error = Some(e);
+                        }
+                    }
+                    Ctx::Other
+                }
+                "host_lists" if !self.conf.host_lists_seen => {
+                    self.conf.host_lists_seen = true;
+                    Ctx::HostLists
+                }
+                _ => Ctx::Other,
+            },
+            Some(Ctx::HostLists) => {
+                if name == "hosts" && self.conf.hosts_error.is_none() {
+                    if let Err(e) = self.conf.hosts(attrs) {
+                        self.conf.hosts_error = Some(e);
+                    }
+                }
+                Ctx::Other
+            }
+            Some(_) => Ctx::Other,
+        };
+        self.ctx.push(ctx);
+    }
+
+    fn end(&mut self) {
+        match self.ctx.pop() {
+            Some(Ctx::Conf) => {
+                let conf = std::mem::take(&mut self.conf);
+                match conf.finish() {
+                    Ok(a) => self.task.allocations.push(a),
+                    Err(e) => {
+                        self.task.conf_error.get_or_insert(e);
+                    }
+                }
+            }
+            Some(Ctx::Task) => match std::mem::take(&mut self.task).finish() {
+                Ok(t) => self.tasks.push(t),
+                Err(e) => self.fail(TASK, e),
+            },
+            _ => {}
+        }
+    }
+
+    fn finish(mut self) -> Result<Schedule, IoError> {
+        if !self.platform_seen {
+            self.fail(PLATFORM, IoError::format("missing <platform> header"));
+        } else if self.clusters.is_empty() {
+            let e = IoError::format("a schedule requires at least one <cluster>");
+            self.fail(NO_CLUSTER, e);
+        }
+        if let Some((_, e)) = self.error {
+            return Err(e);
+        }
+        let mut meta = MetaInfo::new();
+        for (k, v) in self.meta.into_iter().flatten() {
+            meta.set(k, v);
+        }
+        let schedule = Schedule {
+            clusters: self.clusters,
+            tasks: self.tasks,
+            meta,
+        };
+        validate_strict(&schedule)?;
+        Ok(schedule)
+    }
+}
+
+fn meta_entry(element: &str, attrs: &Attrs) -> Result<(String, String), IoError> {
+    let name = require(attrs, element, "name")?;
+    let value = require(attrs, element, "value")?;
+    Ok((name.to_owned(), value.to_owned()))
+}
+
+fn cluster(attrs: &Attrs) -> Result<Cluster, IoError> {
+    let id = parse_u32("cluster id", require(attrs, "cluster", "id")?)?;
+    let hosts = parse_u32("cluster hosts", require(attrs, "cluster", "hosts")?)?;
+    let name = attr(attrs, "name").map_or_else(|| format!("cluster-{id}"), str::to_owned);
+    Ok(Cluster::new(id, name, hosts))
+}
+
+impl TaskState {
+    fn property(&mut self, attrs: &Attrs) -> Result<(), IoError> {
+        let name = require(attrs, "node_property", "name")?;
+        let value = require(attrs, "node_property", "value")?;
         match name {
-            "id" => id = Some(value.to_owned()),
-            "type" => kind = Some(value.to_owned()),
-            "start_time" => start = Some(parse_f64("start_time", value)?),
-            "end_time" => end = Some(parse_f64("end_time", value)?),
-            _ => attrs.push((name.to_owned(), value.to_owned())),
+            "id" => self.id = Some(value.to_owned()),
+            "type" => self.kind = Some(value.to_owned()),
+            "start_time" => self.start = Some(parse_f64("start_time", value)?),
+            "end_time" => self.end = Some(parse_f64("end_time", value)?),
+            _ => self.attrs.push((name.to_owned(), value.to_owned())),
         }
+        Ok(())
     }
 
-    let id = id.ok_or_else(|| IoError::format("<node_statistics> without id property"))?;
-    let missing = |what: &str| IoError::format(format!("task {id:?} is missing {what}"));
-    let mut task = Task::new(
-        id.clone(),
-        kind.ok_or_else(|| missing("a type property"))?,
-        start.ok_or_else(|| missing("a start_time property"))?,
-        end.ok_or_else(|| missing("an end_time property"))?,
-    );
-    task.attrs = attrs;
+    /// The task at `</node_statistics>`: property errors first, then a
+    /// missing id, type, start or end, then the configurations in order.
+    fn finish(self) -> Result<Task, IoError> {
+        if let Some(e) = self.property_error {
+            return Err(e);
+        }
+        let id = self
+            .id
+            .ok_or_else(|| IoError::format("<node_statistics> without id property"))?;
+        let missing = |what: &str| IoError::format(format!("task {id:?} is missing {what}"));
+        let kind = self.kind.ok_or_else(|| missing("a type property"))?;
+        let start = self.start.ok_or_else(|| missing("a start_time property"))?;
+        let end = self.end.ok_or_else(|| missing("an end_time property"))?;
+        if let Some(e) = self.conf_error {
+            return Err(e.for_task(&id));
+        }
+        Ok(Task {
+            id,
+            kind,
+            start,
+            end,
+            allocations: self.allocations,
+            attrs: self.attrs,
+        })
+    }
+}
 
-    for conf in node.find_all("configuration") {
-        let mut cluster: Option<u32> = None;
-        let mut host_nb: Option<u32> = None;
-        for p in conf.find_all("conf_property") {
-            let name = p.require_attr("name")?;
-            let value = p.require_attr("value")?;
-            match name {
-                "cluster_id" => cluster = Some(parse_u32("cluster_id", value)?),
-                "host_nb" => host_nb = Some(parse_u32("host_nb", value)?),
-                _ => {}
-            }
+impl ConfState {
+    fn property(&mut self, attrs: &Attrs) -> Result<(), IoError> {
+        let name = require(attrs, "conf_property", "name")?;
+        let value = require(attrs, "conf_property", "value")?;
+        match name {
+            "cluster_id" => self.cluster = Some(parse_u32("cluster_id", value)?),
+            "host_nb" => self.host_nb = Some(parse_u32("host_nb", value)?),
+            _ => {}
         }
-        let cluster = cluster.ok_or_else(|| {
-            IoError::format(format!("task {id:?}: configuration without cluster_id"))
-        })?;
-        let mut hosts = HostSet::new();
-        if let Some(hl) = conf.find("host_lists") {
-            for h in hl.find_all("hosts") {
-                let s = parse_u32("hosts start", h.require_attr("start")?)?;
-                let nb = parse_u32("hosts nb", h.require_attr("nb")?)?;
-                hosts.insert_range(HostRange::new(s, nb));
-            }
-        }
-        // Sanity check mentioned in the paper's introduction: the number of
-        // requested (host_nb) and assigned processors must agree.
-        if let Some(nb) = host_nb {
-            if hosts.count() != nb {
-                return Err(IoError::format(format!(
-                    "task {id:?}: host_nb={nb} but host list contains {} hosts",
-                    hosts.count()
-                )));
-            }
-        }
-        task.allocations.push(Allocation::new(cluster, hosts));
+        Ok(())
     }
 
-    Ok(task)
+    fn hosts(&mut self, attrs: &Attrs) -> Result<(), ConfError> {
+        let plain = ConfError::Plain;
+        let start = require(attrs, "hosts", "start").map_err(plain)?;
+        let start = parse_u32("hosts start", start).map_err(plain)?;
+        let nb = require(attrs, "hosts", "nb").map_err(plain)?;
+        let nb = parse_u32("hosts nb", nb).map_err(plain)?;
+        if start.checked_add(nb).is_none() {
+            return Err(ConfError::Overflow { start, nb });
+        }
+        self.ranges.push(HostRange::new(start, nb));
+        Ok(())
+    }
+
+    /// The allocation at `</configuration>`: property errors first, then
+    /// a missing cluster_id, then `<hosts>`, then the host_nb check (the
+    /// paper's sanity check: requested and assigned processors agree).
+    fn finish(self) -> Result<Allocation, ConfError> {
+        if let Some(e) = self.property_error {
+            return Err(ConfError::Plain(e));
+        }
+        let cluster = self.cluster.ok_or(ConfError::NoCluster)?;
+        if let Some(e) = self.hosts_error {
+            return Err(e);
+        }
+        let hosts = match self.ranges[..] {
+            [] => HostSet::new(),
+            [r] => HostSet::contiguous(r.start, r.nb),
+            _ => HostSet::from_ranges(self.ranges),
+        };
+        if let Some(nb) = self.host_nb {
+            let count = hosts.count();
+            if count != nb {
+                return Err(ConfError::HostNb { nb, count });
+            }
+        }
+        Ok(Allocation::new(cluster, hosts))
+    }
 }
 
 /// Serializes a schedule to Jedule XML.
@@ -411,6 +674,114 @@ mod tests {
         let s = sample();
         write_schedule(&s, &path).unwrap();
         assert_eq!(read_schedule_file(&path).unwrap(), s);
+    }
+
+    /// 50 single-range tasks on two clusters, then one on a multi-range
+    /// host set of one cluster plus a range of the other.
+    fn large_sample() -> Schedule {
+        let mut b = ScheduleBuilder::new()
+            .cluster(0, "c0", 64)
+            .cluster(1, "c1", 8)
+            .meta("alg", "single-pass");
+        for i in 0..50 {
+            let h = (i % 60) as u32;
+            b = b.task(
+                Task::new(
+                    format!("t{i}"),
+                    "computation",
+                    f64::from(i),
+                    f64::from(i) + 1.5,
+                )
+                .on(Allocation::contiguous(0, h, 4.min(64 - h)))
+                .with_attr("idx", i.to_string()),
+            );
+        }
+        b.task(
+            Task::new("x", "transfer", 0.0, 1.0)
+                .on(Allocation::new(0, HostSet::from_hosts([0, 5, 9])))
+                .on(Allocation::contiguous(1, 0, 2)),
+        )
+        .build()
+        .unwrap()
+    }
+
+    #[test]
+    fn multi_range_schedule_roundtrips_in_document_order() {
+        let s = large_sample();
+        let back = read_schedule(&write_schedule_string(&s)).unwrap();
+        assert_eq!(back, s);
+        assert_eq!(back.tasks[0].id, "t0");
+        assert_eq!(back.tasks[50].id, "x");
+        assert_eq!(back.tasks[50].allocations[0].hosts.ranges().len(), 3);
+    }
+
+    #[test]
+    fn comments_and_prolog_skipped() {
+        let s = large_sample();
+        let xml = write_schedule_string(&s);
+        let spiced = format!(
+            "<!-- head -->\n{}",
+            xml.replacen("<node_infos>", "<!-- tasks below --><node_infos>", 1)
+        );
+        assert_eq!(read_schedule(&spiced).unwrap(), s);
+    }
+
+    #[test]
+    fn large_document_reads() {
+        let mut b = ScheduleBuilder::new().cluster(0, "c", 64);
+        for i in 0..20_000 {
+            b = b.simple_task(
+                "computation",
+                f64::from(i),
+                f64::from(i) + 1.0,
+                0,
+                (i % 64) as u32,
+                1,
+            );
+        }
+        let s = b.build().unwrap();
+        let back = read_schedule(&write_schedule_string(&s)).unwrap();
+        assert_eq!(back.tasks.len(), 20_000);
+        assert_eq!(back, s);
+    }
+
+    #[test]
+    fn truncated_document_errors() {
+        // Every cut before the root's closing '>' loses the document; only
+        // the trailing newline may go.
+        let xml = write_schedule_string(&sample());
+        let end = xml.trim_end().len();
+        for n in (0..end).filter(|&n| xml.is_char_boundary(n)) {
+            assert!(read_schedule(&xml[..n]).is_err(), "prefix {n} accepted");
+        }
+        assert!(read_schedule(&xml[..end]).is_ok());
+        // The cut of the old streaming reader's test: a syntax error with
+        // a position, not a partial schedule.
+        let err = read_schedule(&xml[..xml.len() / 2]).unwrap_err();
+        assert!(err.to_string().starts_with("parse error at "), "{err}");
+    }
+
+    #[test]
+    fn wrapped_hosts_range_is_rejected() {
+        let src = r#"<jedule>
+  <platform><cluster id="0" hosts="8"/></platform>
+  <node_infos><node_statistics>
+      <node_property name="id" value="w"/>
+      <node_property name="type" value="t"/>
+      <node_property name="start_time" value="0"/>
+      <node_property name="end_time" value="1"/>
+      <configuration>
+        <conf_property name="cluster_id" value="0"/>
+        <conf_property name="host_nb" value="2"/>
+        <host_lists><hosts start="4294967295" nb="2"/></host_lists>
+      </configuration>
+  </node_statistics></node_infos>
+</jedule>"#;
+        let err = read_schedule(src).unwrap_err().to_string();
+        assert!(
+            err.contains("task \"w\"") && err.contains("4294967295"),
+            "{err}"
+        );
     }
 
     #[test]

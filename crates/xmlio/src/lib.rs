@@ -6,12 +6,19 @@
 //! "one can also extend Jedule with a different parser … not necessarily
 //! in XML" (paper, §II-C1). Accordingly this crate provides:
 //!
-//! * `xml` — a from-scratch, dependency-free XML subset parser and writer
-//!   (elements, attributes, comments, CDATA, character references) with
-//!   line/column error reporting.
+//! * `xml` — a from-scratch, dependency-free XML subset reader and writer
+//!   (elements, attributes, comments, CDATA, character references). One
+//!   iterative pull tokenizer borrows names and values from the source,
+//!   caps nesting at [`xml::MAX_DEPTH`], and computes an error's
+//!   line/column from its byte offset only when the error is built. It
+//!   has two consumers: [`xml::parse`] builds the element tree for color
+//!   maps, DAX and platform files, and `jedule_xml` reads schedules.
 //! * `jedule_xml` — the Jedule schedule format of Fig. 1
 //!   (`<node_statistics>` with `<node_property>`, `<configuration>`,
 //!   `<host_lists>`, plus platform header and `<meta_info>`).
+//!   [`read_schedule`] builds the schedule in the same single pass over
+//!   the tokens, with no element tree, and rejects exactly what a walk
+//!   over [`xml::parse`]'s tree rejects.
 //! * `cmap_xml` — the color-map format of Fig. 2 (`<cmap>`, `<task>`,
 //!   `<color type="fg|bg" rgb="RRGGBB">`, `<composite>`).
 //! * `parser` — the pluggable [`ScheduleParser`] trait with a format
@@ -29,7 +36,6 @@ pub mod jedule_xml;
 pub mod json;
 pub mod jsonl;
 pub mod parser;
-pub mod stream;
 pub mod xml;
 
 /// True for a whole-line XML-style comment (`<!-- ... -->`). Converter
@@ -47,4 +53,3 @@ pub use error::IoError;
 pub use jedule_xml::{read_schedule, read_schedule_file, write_schedule, write_schedule_string};
 pub use jsonl::{read_schedule_jsonl, read_schedule_jsonl_parallel, write_schedule_jsonl};
 pub use parser::{detect_format, parse_any, parse_any_parallel, Format, ScheduleParser};
-pub use stream::{read_schedule_streaming, stream_schedule, StreamEvent};

@@ -1,13 +1,23 @@
-//! A from-scratch XML subset parser and writer.
+//! A from-scratch XML subset reader and writer.
 //!
 //! Supports what the Jedule formats need (and a bit more): elements with
 //! single- or double-quoted attributes, self-closing tags, text nodes,
 //! comments, CDATA sections, processing instructions, a skipped DOCTYPE,
 //! and the five predefined entities plus numeric character references.
-//! Namespaces are treated as plain name prefixes. Errors carry 1-based
-//! line/column positions.
+//! Namespaces are treated as plain name prefixes.
+//!
+//! Reading is one iterative pull tokenizer with two consumers: [`parse`]
+//! builds an [`Element`] tree (color maps, DAX workflows, platform
+//! files), and [`crate::jedule_xml::read_schedule`] builds a schedule
+//! straight from the tokens, with no tree. The tokenizer borrows tag
+//! names and attribute values from the source, copying a value only when
+//! an entity decodes. It keeps the open elements on an explicit stack
+//! capped at [`MAX_DEPTH`] instead of recursing, and tracks only a byte
+//! offset: an error's 1-based line and column are computed from it when
+//! the error is built.
 
 use crate::error::{IoError, Pos};
+use std::borrow::Cow;
 
 /// A DOM node: element or text.
 #[derive(Debug, Clone, PartialEq)]
@@ -60,12 +70,8 @@ impl Element {
 
     /// Attribute value or a format error naming the element.
     pub fn require_attr(&self, name: &str) -> Result<&str, IoError> {
-        self.get_attr(name).ok_or_else(|| {
-            IoError::format(format!(
-                "<{}> is missing required attribute {name:?}",
-                self.name
-            ))
-        })
+        self.get_attr(name)
+            .ok_or_else(|| missing_attr(&self.name, name))
     }
 
     /// First child element with the given name.
@@ -98,123 +104,294 @@ impl Element {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Parsing
-// ---------------------------------------------------------------------------
-
-struct Scanner<'a> {
-    bytes: &'a [u8],
-    i: usize,
-    line: u32,
-    col: u32,
+/// The error for a start tag `<element>` without attribute `attr`.
+pub(crate) fn missing_attr(element: &str, attr: &str) -> IoError {
+    IoError::format(format!(
+        "<{element}> is missing required attribute {attr:?}"
+    ))
 }
 
-impl<'a> Scanner<'a> {
-    fn new(src: &'a str) -> Self {
-        Scanner {
-            bytes: src.as_bytes(),
+// ---------------------------------------------------------------------------
+// Tokenizing
+// ---------------------------------------------------------------------------
+
+/// The deepest element nesting either reader accepts; a start tag below
+/// it is a parse error at the tag. Every Jedule, color-map, DAX and
+/// platform document is under ten levels deep. The cap keeps hostile
+/// input from growing the open-element stack without bound and keeps
+/// the recursive drop of an [`Element`] tree shallow.
+pub const MAX_DEPTH: usize = 1024;
+
+/// One token of a document. Names and undecoded text borrow the source.
+#[derive(Debug)]
+pub(crate) enum Token<'a> {
+    /// A start tag; its attributes are [`Tokenizer::attrs`] until the
+    /// next call.
+    Start(&'a str),
+    /// The end of the innermost open element: its closing tag, or the
+    /// token right after the `Start` of a self-closing tag.
+    End,
+    /// Character data: a run of decoded text or a raw CDATA section.
+    Text(Cow<'a, str>),
+}
+
+/// An iterative pull tokenizer over a whole document.
+///
+/// It checks everything [`parse`] checks, in the same order and at the
+/// same positions: one well-formed root, matched closing tags, quoted
+/// attributes, terminated comments, CDATA sections, PIs and DOCTYPEs,
+/// and decodable entities in attribute values and text. The open
+/// elements live on an explicit stack capped at [`MAX_DEPTH`], so no
+/// input can overflow the call stack. Positions are byte offsets; a line
+/// and column are computed only when an error is built.
+pub(crate) struct Tokenizer<'a> {
+    src: &'a str,
+    i: usize,
+    /// Names of the open elements, outermost first.
+    open: Vec<&'a str>,
+    attrs: Vec<(&'a str, Cow<'a, str>)>,
+    /// The last token was the `Start` of a self-closing tag.
+    end_pending: bool,
+    /// The root element has started.
+    rooted: bool,
+}
+
+impl<'a> Tokenizer<'a> {
+    pub(crate) fn new(src: &'a str) -> Self {
+        Tokenizer {
+            src,
             i: 0,
-            line: 1,
-            col: 1,
+            open: Vec::new(),
+            attrs: Vec::new(),
+            end_pending: false,
+            rooted: false,
         }
     }
 
-    fn pos(&self) -> Pos {
-        Pos {
-            line: self.line,
-            col: self.col,
+    /// Attributes of the last `Start` token, in document order
+    /// (duplicates kept).
+    pub(crate) fn attrs(&self) -> &[(&'a str, Cow<'a, str>)] {
+        &self.attrs
+    }
+
+    /// The next token, or `None` once the root has closed and only
+    /// whitespace, comments, PIs and DOCTYPEs follow it.
+    pub(crate) fn next(&mut self) -> Result<Option<Token<'a>>, IoError> {
+        if self.end_pending {
+            self.end_pending = false;
+            return Ok(Some(Token::End));
+        }
+        if self.open.is_empty() {
+            self.skip_misc()?;
+            if self.rooted {
+                if self.i < self.src.len() {
+                    return Err(self.error("trailing content after root element", self.i));
+                }
+                return Ok(None);
+            }
+            if self.peek() != Some(b'<') {
+                return Err(self.error("expected root element", self.i));
+            }
+            self.rooted = true;
+            return self.start_tag().map(Some);
+        }
+        loop {
+            let rest = &self.src.as_bytes()[self.i..];
+            match rest {
+                [] => {
+                    let name = self.open[self.open.len() - 1];
+                    return Err(self.error(format!("unclosed element <{name}>"), self.i));
+                }
+                [b'<', b'/', ..] => return self.end_tag().map(Some),
+                _ if rest.starts_with(b"<!--") => {
+                    self.i += 4;
+                    self.until("-->")?;
+                }
+                _ if rest.starts_with(b"<![CDATA[") => {
+                    self.i += 9;
+                    return Ok(Some(Token::Text(Cow::Borrowed(self.until("]]>")?))));
+                }
+                [b'<', b'?', ..] => {
+                    self.i += 2;
+                    self.until("?>")?;
+                }
+                [b'<', ..] => return self.start_tag().map(Some),
+                _ => {
+                    let at = self.i;
+                    self.i = self.src[at..].find('<').map_or(self.src.len(), |n| at + n);
+                    let text = decode(&self.src[at..self.i]).map_err(|m| self.error(m, at))?;
+                    return Ok(Some(Token::Text(text)));
+                }
+            }
+        }
+    }
+
+    /// A start tag at `<`, with its attributes.
+    fn start_tag(&mut self) -> Result<Token<'a>, IoError> {
+        let lt = self.i;
+        self.i += 1;
+        let name = self.name()?;
+        if self.open.len() >= MAX_DEPTH {
+            return Err(self.error(
+                format!("element <{name}> nested deeper than {MAX_DEPTH} levels"),
+                lt,
+            ));
+        }
+        self.attrs.clear();
+        loop {
+            self.skip_ws();
+            match self.peek() {
+                Some(b'/') => {
+                    self.expect("/>")?;
+                    self.end_pending = true;
+                    return Ok(Token::Start(name));
+                }
+                Some(b'>') => {
+                    self.i += 1;
+                    self.open.push(name);
+                    return Ok(Token::Start(name));
+                }
+                Some(_) => {
+                    let at = self.i;
+                    let attr = self.name()?;
+                    self.skip_ws();
+                    self.expect("=")?;
+                    self.skip_ws();
+                    let close = match self.peek() {
+                        Some(b'"') => "\"",
+                        Some(b'\'') => "'",
+                        _ => return Err(self.error("expected quoted attribute value", at)),
+                    };
+                    self.i += 1;
+                    let raw = self.until(close)?;
+                    let value = decode(raw).map_err(|m| self.error(m, at))?;
+                    self.attrs.push((attr, value));
+                }
+                None => return Err(self.error("unterminated start tag", self.i)),
+            }
+        }
+    }
+
+    /// A closing tag at `</`, which must name the innermost open element.
+    fn end_tag(&mut self) -> Result<Token<'a>, IoError> {
+        self.i += 2;
+        let at = self.i;
+        let name = self.name()?;
+        let open = self.open[self.open.len() - 1];
+        if name != open {
+            return Err(self.error(format!("mismatched closing tag </{name}> for <{open}>"), at));
+        }
+        self.skip_ws();
+        self.expect(">")?;
+        self.open.pop();
+        Ok(Token::End)
+    }
+
+    /// Skips whitespace, comments, processing instructions and DOCTYPE
+    /// outside the root element.
+    fn skip_misc(&mut self) -> Result<(), IoError> {
+        loop {
+            self.skip_ws();
+            let rest = &self.src.as_bytes()[self.i..];
+            if rest.starts_with(b"<!--") {
+                self.i += 4;
+                self.until("-->")?;
+            } else if rest.starts_with(b"<?") {
+                self.i += 2;
+                self.until("?>")?;
+            } else if rest.starts_with(b"<!DOCTYPE") || rest.starts_with(b"<!doctype") {
+                // Skip to the matching '>', allowing brackets around an
+                // internal subset.
+                self.i += 9;
+                let mut depth = 0i32;
+                loop {
+                    let Some(&b) = self.src.as_bytes().get(self.i) else {
+                        return Err(self.error("unterminated DOCTYPE", self.i));
+                    };
+                    self.i += 1;
+                    match b {
+                        b'[' => depth += 1,
+                        b']' => depth -= 1,
+                        b'>' if depth <= 0 => break,
+                        _ => {}
+                    }
+                }
+            } else {
+                return Ok(());
+            }
         }
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.i).copied()
+        self.src.as_bytes().get(self.i).copied()
     }
 
-    fn bump(&mut self) -> Option<u8> {
-        let b = self.peek()?;
-        self.i += 1;
-        if b == b'\n' {
-            self.line += 1;
-            self.col = 1;
-        } else {
-            self.col += 1;
-        }
-        Some(b)
-    }
-
-    fn starts_with(&self, s: &str) -> bool {
-        self.bytes[self.i..].starts_with(s.as_bytes())
-    }
-
-    fn consume(&mut self, s: &str) -> bool {
-        if self.starts_with(s) {
-            for _ in 0..s.len() {
-                self.bump();
-            }
-            true
-        } else {
-            false
+    fn skip_ws(&mut self) {
+        let bytes = self.src.as_bytes();
+        while matches!(bytes.get(self.i), Some(b' ' | b'\t' | b'\r' | b'\n')) {
+            self.i += 1;
         }
     }
 
     fn expect(&mut self, s: &str) -> Result<(), IoError> {
-        if self.consume(s) {
+        if self.src.as_bytes()[self.i..].starts_with(s.as_bytes()) {
+            self.i += s.len();
             Ok(())
         } else {
-            Err(IoError::xml(format!("expected {s:?}"), self.pos()))
+            Err(self.error(format!("expected {s:?}"), self.i))
         }
     }
 
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\r' | b'\n')) {
-            self.bump();
-        }
-    }
-
-    /// Consumes until the delimiter string, returning the consumed slice
-    /// (delimiter excluded but consumed).
-    fn until(&mut self, delim: &str) -> Result<String, IoError> {
+    /// The text up to `delim`, consuming both.
+    fn until(&mut self, delim: &str) -> Result<&'a str, IoError> {
         let start = self.i;
-        let at = self.pos();
-        while self.peek().is_some() {
-            if self.starts_with(delim) {
-                let s = std::str::from_utf8(&self.bytes[start..self.i])
-                    .map_err(|_| IoError::xml("invalid UTF-8", at))?
-                    .to_owned();
-                self.expect(delim)?;
-                return Ok(s);
+        let src = self.src;
+        match src[start..].find(delim) {
+            Some(n) => {
+                self.i = start + n + delim.len();
+                Ok(&src[start..start + n])
             }
-            self.bump();
+            None => Err(self.error(format!("unterminated section, expected {delim:?}"), start)),
         }
-        Err(IoError::xml(
-            format!("unterminated section, expected {delim:?}"),
-            at,
-        ))
     }
 
-    fn name(&mut self) -> Result<String, IoError> {
+    fn name(&mut self) -> Result<&'a str, IoError> {
         let start = self.i;
-        let at = self.pos();
-        while let Some(b) = self.peek() {
-            let ok = b.is_ascii_alphanumeric() || matches!(b, b'_' | b'-' | b'.' | b':');
-            if !ok {
-                break;
-            }
-            self.bump();
+        let bytes = self.src.as_bytes();
+        while bytes
+            .get(self.i)
+            .is_some_and(|&b| b.is_ascii_alphanumeric() || matches!(b, b'_' | b'-' | b'.' | b':'))
+        {
+            self.i += 1;
         }
         if self.i == start {
-            return Err(IoError::xml("expected a name", at));
+            return Err(self.error("expected a name", start));
         }
-        Ok(std::str::from_utf8(&self.bytes[start..self.i])
-            .map_err(|_| IoError::xml("invalid UTF-8 in name", at))?
-            .to_owned())
+        Ok(&self.src[start..self.i])
+    }
+
+    /// A syntax error at byte offset `at`, with its 1-based line and
+    /// byte column.
+    fn error(&self, msg: impl Into<String>, at: usize) -> IoError {
+        let before = &self.src.as_bytes()[..at];
+        let line_start = before
+            .iter()
+            .rposition(|&b| b == b'\n')
+            .map_or(0, |n| n + 1);
+        let line = 1 + before.iter().filter(|&&b| b == b'\n').count();
+        let pos = Pos {
+            line: line as u32,
+            col: (at - line_start + 1) as u32,
+        };
+        IoError::xml(msg, pos)
     }
 }
 
-/// Decodes the predefined entities and numeric character references.
-pub fn unescape(raw: &str, at: Pos) -> Result<String, IoError> {
+/// Decodes the predefined entities and numeric character references,
+/// borrowing `raw` when it has none; an error is its message.
+fn decode(raw: &str) -> Result<Cow<'_, str>, String> {
     if !raw.contains('&') {
-        return Ok(raw.to_owned());
+        return Ok(Cow::Borrowed(raw));
     }
     let mut out = String::with_capacity(raw.len());
     let mut rest = raw;
@@ -223,39 +400,35 @@ pub fn unescape(raw: &str, at: Pos) -> Result<String, IoError> {
         rest = &rest[idx..];
         let end = rest
             .find(';')
-            .ok_or_else(|| IoError::xml("unterminated entity reference", at))?;
+            .ok_or_else(|| "unterminated entity reference".to_string())?;
         let ent = &rest[1..end];
-        match ent {
-            "lt" => out.push('<'),
-            "gt" => out.push('>'),
-            "amp" => out.push('&'),
-            "quot" => out.push('"'),
-            "apos" => out.push('\''),
+        let code = |digits: Result<u32, _>| {
+            let v = digits.map_err(|_| format!("bad character reference &{ent};"))?;
+            char::from_u32(v).ok_or_else(|| format!("invalid code point &{ent};"))
+        };
+        out.push(match ent {
+            "lt" => '<',
+            "gt" => '>',
+            "amp" => '&',
+            "quot" => '"',
+            "apos" => '\'',
             _ if ent.starts_with("#x") || ent.starts_with("#X") => {
-                let v = u32::from_str_radix(&ent[2..], 16)
-                    .map_err(|_| IoError::xml(format!("bad character reference &{ent};"), at))?;
-                out.push(
-                    char::from_u32(v)
-                        .ok_or_else(|| IoError::xml(format!("invalid code point &{ent};"), at))?,
-                );
+                code(u32::from_str_radix(&ent[2..], 16))?
             }
-            _ if ent.starts_with('#') => {
-                let v: u32 = ent[1..]
-                    .parse()
-                    .map_err(|_| IoError::xml(format!("bad character reference &{ent};"), at))?;
-                out.push(
-                    char::from_u32(v)
-                        .ok_or_else(|| IoError::xml(format!("invalid code point &{ent};"), at))?,
-                );
-            }
-            _ => {
-                return Err(IoError::xml(format!("unknown entity &{ent};"), at));
-            }
-        }
+            _ if ent.starts_with('#') => code(ent[1..].parse())?,
+            _ => return Err(format!("unknown entity &{ent};")),
+        });
         rest = &rest[end + 1..];
     }
     out.push_str(rest);
-    Ok(out)
+    Ok(Cow::Owned(out))
+}
+
+/// Decodes the predefined entities and numeric character references.
+pub fn unescape(raw: &str, at: Pos) -> Result<String, IoError> {
+    decode(raw)
+        .map(Cow::into_owned)
+        .map_err(|msg| IoError::xml(msg, at))
 }
 
 /// Escapes text content.
@@ -287,138 +460,50 @@ pub fn escape_attr(s: &str) -> String {
     out
 }
 
+// ---------------------------------------------------------------------------
+// Parsing
+// ---------------------------------------------------------------------------
+
 /// Parses a document and returns its root element.
+///
+/// The tree is built from [`Tokenizer`] tokens. Text is kept per element,
+/// concatenated across comments, PIs and CDATA sections, and dropped when
+/// it is whitespace only.
 pub fn parse(src: &str) -> Result<Element, IoError> {
-    let mut sc = Scanner::new(src);
-    skip_misc(&mut sc)?;
-    let at = sc.pos();
-    if sc.peek() != Some(b'<') {
-        return Err(IoError::xml("expected root element", at));
-    }
-    let root = parse_element(&mut sc)?;
-    skip_misc(&mut sc)?;
-    if sc.peek().is_some() {
-        return Err(IoError::xml(
-            "trailing content after root element",
-            sc.pos(),
-        ));
-    }
-    Ok(root)
-}
-
-/// Skips whitespace, comments, processing instructions and DOCTYPE.
-fn skip_misc(sc: &mut Scanner) -> Result<(), IoError> {
-    loop {
-        sc.skip_ws();
-        if sc.starts_with("<!--") {
-            sc.expect("<!--")?;
-            sc.until("-->")?;
-        } else if sc.starts_with("<?") {
-            sc.expect("<?")?;
-            sc.until("?>")?;
-        } else if sc.starts_with("<!DOCTYPE") || sc.starts_with("<!doctype") {
-            // Skip until the matching '>', allowing one bracket nesting
-            // level for an internal subset.
-            for _ in 0..9 {
-                sc.bump();
-            }
-            let mut depth = 0i32;
-            loop {
-                match sc.bump() {
-                    Some(b'[') => depth += 1,
-                    Some(b']') => depth -= 1,
-                    Some(b'>') if depth <= 0 => break,
-                    Some(_) => {}
-                    None => return Err(IoError::xml("unterminated DOCTYPE", sc.pos())),
+    let mut tok = Tokenizer::new(src);
+    // Open elements, outermost first. Text pends only in the innermost
+    // one: a child's start flushes its parent's.
+    let mut open: Vec<Element> = Vec::new();
+    let mut text = String::new();
+    let mut root = None;
+    while let Some(token) = tok.next()? {
+        match token {
+            Token::Start(name) => {
+                if let Some(parent) = open.last_mut() {
+                    flush_text(parent, &mut text);
                 }
+                open.push(Element {
+                    name: name.to_owned(),
+                    attrs: tok
+                        .attrs()
+                        .iter()
+                        .map(|(k, v)| (k.to_string(), v.to_string()))
+                        .collect(),
+                    children: Vec::new(),
+                });
             }
-        } else {
-            return Ok(());
-        }
-    }
-}
-
-fn parse_element(sc: &mut Scanner) -> Result<Element, IoError> {
-    sc.expect("<")?;
-    let name = sc.name()?;
-    let mut el = Element::new(name);
-
-    // Attributes.
-    loop {
-        sc.skip_ws();
-        match sc.peek() {
-            Some(b'/') => {
-                sc.expect("/>")?;
-                return Ok(el);
-            }
-            Some(b'>') => {
-                sc.bump();
-                break;
-            }
-            Some(_) => {
-                let at = sc.pos();
-                let aname = sc.name()?;
-                sc.skip_ws();
-                sc.expect("=")?;
-                sc.skip_ws();
-                let quote = match sc.bump() {
-                    Some(q @ (b'"' | b'\'')) => q,
-                    _ => return Err(IoError::xml("expected quoted attribute value", at)),
-                };
-                let raw = sc.until(if quote == b'"' { "\"" } else { "'" })?;
-                el.attrs.push((aname, unescape(&raw, at)?));
-            }
-            None => return Err(IoError::xml("unterminated start tag", sc.pos())),
-        }
-    }
-
-    // Children.
-    let mut text_buf = String::new();
-    loop {
-        if sc.starts_with("</") {
-            flush_text(&mut el, &mut text_buf);
-            sc.expect("</")?;
-            let at = sc.pos();
-            let close = sc.name()?;
-            if close != el.name {
-                return Err(IoError::xml(
-                    format!("mismatched closing tag </{close}> for <{}>", el.name),
-                    at,
-                ));
-            }
-            sc.skip_ws();
-            sc.expect(">")?;
-            return Ok(el);
-        } else if sc.starts_with("<!--") {
-            sc.expect("<!--")?;
-            sc.until("-->")?;
-        } else if sc.starts_with("<![CDATA[") {
-            sc.expect("<![CDATA[")?;
-            let raw = sc.until("]]>")?;
-            text_buf.push_str(&raw);
-        } else if sc.starts_with("<?") {
-            sc.expect("<?")?;
-            sc.until("?>")?;
-        } else if sc.starts_with("<") {
-            flush_text(&mut el, &mut text_buf);
-            let child = parse_element(sc)?;
-            el.children.push(Node::Element(child));
-        } else {
-            let at = sc.pos();
-            match sc.peek() {
-                None => return Err(IoError::xml(format!("unclosed element <{}>", el.name), at)),
-                Some(_) => {
-                    let start = sc.i;
-                    while sc.peek().is_some() && sc.peek() != Some(b'<') {
-                        sc.bump();
-                    }
-                    let raw = std::str::from_utf8(&sc.bytes[start..sc.i])
-                        .map_err(|_| IoError::xml("invalid UTF-8 in text", at))?;
-                    text_buf.push_str(&unescape(raw, at)?);
+            Token::Text(t) => text.push_str(&t),
+            Token::End => {
+                let mut el = open.pop().expect("the tokenizer balances tags");
+                flush_text(&mut el, &mut text);
+                match open.last_mut() {
+                    Some(parent) => parent.children.push(Node::Element(el)),
+                    None => root = Some(el),
                 }
             }
         }
     }
+    Ok(root.expect("a document that tokenizes has a root"))
 }
 
 fn flush_text(el: &mut Element, buf: &mut String) {
@@ -607,6 +692,52 @@ mod tests {
         let err = el.require_attr("nb").unwrap_err();
         let msg = err.to_string();
         assert!(msg.contains("hosts") && msg.contains("nb"), "{msg}");
+    }
+
+    /// `depth` nested `<a>` elements.
+    fn nested(depth: usize) -> String {
+        "<a>".repeat(depth) + &"</a>".repeat(depth)
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_depth() {
+        let el = parse(&nested(MAX_DEPTH)).unwrap();
+        assert_eq!(el.name, "a");
+        // One level deeper fails at the offending start tag, whether it
+        // is an open or a self-closing one.
+        for src in [
+            nested(MAX_DEPTH + 1),
+            format!(
+                "{}<a/>{}",
+                "<a>".repeat(MAX_DEPTH),
+                "</a>".repeat(MAX_DEPTH)
+            ),
+        ] {
+            match parse(&src).unwrap_err() {
+                IoError::Xml { msg, pos } => {
+                    assert!(msg.contains("deeper than 1024"), "{msg}");
+                    assert_eq!((pos.line, pos.col), (1, 3 * MAX_DEPTH as u32 + 1));
+                }
+                other => panic!("unexpected {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn hostile_nesting_is_an_error_not_a_stack_overflow() {
+        let err = parse(&"<a>".repeat(200_000)).unwrap_err();
+        assert!(
+            err.to_string().starts_with("parse error at 1:3073:"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn error_positions_count_bytes_from_the_line_start() {
+        let err = parse("<a>\n  <é x=1/>\n</a>").unwrap_err();
+        assert_eq!(err.to_string(), "parse error at 2:4: expected a name");
+        let err = parse("<a>\r\n <b x=\"é&bad;\"/></a>").unwrap_err();
+        assert_eq!(err.to_string(), "parse error at 2:5: unknown entity &bad;");
     }
 
     #[test]
