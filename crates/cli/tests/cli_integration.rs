@@ -415,3 +415,75 @@ fn invalid_schedule_fails_info() {
     let out = jedule(&["info", path.to_str().unwrap()]);
     assert!(!out.status.success());
 }
+
+/// `depth` nested `<a>` elements under a `root` element: a stack probe
+/// for the XML readers, 1.4 MB at 200k levels.
+fn deep_xml(root: &str, depth: usize) -> String {
+    format!(
+        "<{root}>{}{}</{root}>",
+        "<a>".repeat(depth),
+        "</a>".repeat(depth)
+    )
+}
+
+/// Asserts a clean failure: exit status 1 (not a signal) with a
+/// positioned parse error on stderr.
+fn assert_parse_error(out: &Output, what: &str) {
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(
+        out.status.code(),
+        Some(1),
+        "{what}: {:?} {stderr}",
+        out.status
+    );
+    assert!(stderr.contains("parse error at"), "{what}: {stderr}");
+}
+
+#[test]
+fn deeply_nested_xml_fails_cleanly() {
+    let dir = tmp();
+    let deep_jed = dir.join("deep.jed");
+    std::fs::write(&deep_jed, deep_xml("jedule", 200_000)).unwrap();
+    let deep_cmap = dir.join("deep_cmap.xml");
+    std::fs::write(&deep_cmap, deep_xml("cmap", 200_000)).unwrap();
+    let demo = demo_schedule(&dir);
+    let out_svg = dir.join("out.svg");
+    let (deep_jed, deep_cmap, demo, out_svg) = (
+        deep_jed.to_str().unwrap(),
+        deep_cmap.to_str().unwrap(),
+        demo.to_str().unwrap(),
+        out_svg.to_str().unwrap(),
+    );
+    assert_parse_error(&jedule(&["info", deep_jed]), "info");
+    assert_parse_error(&jedule(&["render", deep_jed, "-o", out_svg]), "render");
+    assert_parse_error(
+        &jedule(&["render", demo, "-c", deep_cmap, "-o", out_svg]),
+        "render -c",
+    );
+}
+
+#[test]
+fn wrapped_hosts_range_fails_info() {
+    let dir = tmp();
+    let path = dir.join("wrapped.jed");
+    std::fs::write(
+        &path,
+        r#"<jedule><platform><cluster id="0" hosts="8"/></platform>
+<node_infos><node_statistics>
+  <node_property name="id" value="w"/>
+  <node_property name="type" value="t"/>
+  <node_property name="start_time" value="0"/>
+  <node_property name="end_time" value="1"/>
+  <configuration>
+    <conf_property name="cluster_id" value="0"/>
+    <conf_property name="host_nb" value="2"/>
+    <host_lists><hosts start="4294967295" nb="2"/></host_lists>
+  </configuration>
+</node_statistics></node_infos></jedule>"#,
+    )
+    .unwrap();
+    let out = jedule(&["info", path.to_str().unwrap()]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("task \"w\""), "{stderr}");
+}

@@ -305,6 +305,32 @@ fn inputs_outside_the_root_are_rejected() {
     server.shutdown().unwrap();
 }
 
+/// A `.jed` nested 200k levels deep used to overflow the worker's stack,
+/// which no `catch_unwind` can catch: the whole server aborted. It must
+/// be a client error, and the server must keep answering.
+#[test]
+fn deeply_nested_xml_is_a_client_error_and_the_server_survives() {
+    let (server, root, _csv) = start("deepxml");
+    let depth = 200_000;
+    let deep = format!(
+        "<jedule>{}{}</jedule>",
+        "<a>".repeat(depth),
+        "</a>".repeat(depth)
+    );
+    std::fs::write(root.join("deep.jed"), deep).unwrap();
+    let reply = get(server.addr(), "/render?file=deep.jed");
+    assert!(
+        (400..500).contains(&reply.status),
+        "status {}: {}",
+        reply.status,
+        String::from_utf8_lossy(&reply.body)
+    );
+    assert!(String::from_utf8_lossy(&reply.body).contains("parse error at"));
+    assert_eq!(get(server.addr(), "/healthz").status, 200);
+    assert_eq!(get(server.addr(), "/render?file=sched.csv").status, 200);
+    server.shutdown().unwrap();
+}
+
 #[test]
 fn keep_alive_reuses_one_connection_for_many_requests() {
     let (server, _root, _csv) = start("keepalive");

@@ -346,7 +346,13 @@ impl<'a> Tokenizer<'a> {
     fn until(&mut self, delim: &str) -> Result<&'a str, IoError> {
         let start = self.i;
         let src = self.src;
-        match src[start..].find(delim) {
+        // A one-byte delimiter (an attribute's closing quote) is a char
+        // search, which skips the substring searcher's set-up.
+        let found = match delim.as_bytes() {
+            &[b] => src[start..].find(char::from(b)),
+            _ => src[start..].find(delim),
+        };
+        match found {
             Some(n) => {
                 self.i = start + n + delim.len();
                 Ok(&src[start..start + n])
