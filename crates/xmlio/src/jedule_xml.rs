@@ -100,21 +100,25 @@ fn require<'s>(attrs: &'s Attrs, element: &str, name: &str) -> Result<&'s str, I
     attr(attrs, name).ok_or_else(|| xml::missing_attr(element, name))
 }
 
-/// Check ranks: at the end the error of the lowest rank is returned.
-const ROOT: u8 = 0;
-const JEDULE_META: u8 = 1;
-const META_INFO: u8 = 2;
-const PLATFORM: u8 = 3;
-const CLUSTER: u8 = 4;
-const NO_CLUSTER: u8 = 5;
-const TASK: u8 = 6;
+/// The checks of the tree walk, in its order: at the end the error of
+/// the earliest check is returned.
+#[derive(Clone, Copy, PartialEq, PartialOrd)]
+enum Rank {
+    Root,
+    JeduleMeta,
+    MetaInfo,
+    Platform,
+    Cluster,
+    NoCluster,
+    Task,
+}
 
 /// What an open element is to the reader.
 #[derive(Clone, Copy)]
 enum Ctx {
     Root,
     /// `<jedule_meta>` or `<meta_info>`, by rank.
-    Meta(u8),
+    Meta(Rank),
     Platform,
     NodeInfos,
     Task,
@@ -128,8 +132,8 @@ enum Ctx {
 #[derive(Default)]
 struct Walk {
     ctx: Vec<Ctx>,
-    /// The first error of the lowest rank so far.
-    error: Option<(u8, IoError)>,
+    /// The first error of the earliest check so far.
+    error: Option<(Rank, IoError)>,
     /// Entries of every `<jedule_meta>`, then of every `<meta_info>`.
     meta: [Vec<(String, String)>; 2],
     platform_seen: bool,
@@ -167,38 +171,25 @@ struct ConfState {
     hosts_error: Option<ConfError>,
 }
 
+/// A configuration's error.
 enum ConfError {
-    /// An attribute or number error, which does not quote the task id.
+    /// An attribute or number error.
     Plain(IoError),
-    NoCluster,
-    Overflow {
-        start: u32,
-        nb: u32,
-    },
-    HostNb {
-        nb: u32,
-        count: u32,
-    },
+    /// A format error `task {id:?}: {0}`, built once the id is final.
+    Quoting(String),
 }
 
 impl ConfError {
     fn for_task(self, id: &str) -> IoError {
-        IoError::format(match self {
-            ConfError::Plain(e) => return e,
-            ConfError::NoCluster => format!("task {id:?}: configuration without cluster_id"),
-            ConfError::Overflow { start, nb } => format!(
-                "task {id:?}: <hosts start=\"{start}\" nb=\"{nb}\"> ends past host index {}",
-                u32::MAX
-            ),
-            ConfError::HostNb { nb, count } => {
-                format!("task {id:?}: host_nb={nb} but host list contains {count} hosts")
-            }
-        })
+        match self {
+            ConfError::Plain(e) => e,
+            ConfError::Quoting(msg) => IoError::format(format!("task {id:?}: {msg}")),
+        }
     }
 }
 
 impl Walk {
-    fn fail(&mut self, rank: u8, e: IoError) {
+    fn fail(&mut self, rank: Rank, e: IoError) {
         if self.error.as_ref().is_none_or(|(r, _)| rank < *r) {
             self.error = Some((rank, e));
         }
@@ -209,12 +200,12 @@ impl Walk {
             None if name == "jedule" => Ctx::Root,
             None => {
                 let e = format!("expected <jedule> root element, found <{name}>");
-                self.fail(ROOT, IoError::format(e));
+                self.fail(Rank::Root, IoError::format(e));
                 Ctx::Other
             }
             Some(Ctx::Root) => match name {
-                "jedule_meta" => Ctx::Meta(JEDULE_META),
-                "meta_info" => Ctx::Meta(META_INFO),
+                "jedule_meta" => Ctx::Meta(Rank::JeduleMeta),
+                "meta_info" => Ctx::Meta(Rank::MetaInfo),
                 "platform" if !self.platform_seen => {
                     self.platform_seen = true;
                     Ctx::Platform
@@ -228,7 +219,7 @@ impl Walk {
             Some(Ctx::Meta(rank)) => {
                 if name == "info" || name == "meta" {
                     match meta_entry(name, attrs) {
-                        Ok(kv) => self.meta[usize::from(rank == META_INFO)].push(kv),
+                        Ok(kv) => self.meta[usize::from(rank == Rank::MetaInfo)].push(kv),
                         Err(e) => self.fail(rank, e),
                     }
                 }
@@ -238,7 +229,7 @@ impl Walk {
                 if name == "cluster" {
                     match cluster(attrs) {
                         Ok(c) => self.clusters.push(c),
-                        Err(e) => self.fail(CLUSTER, e),
+                        Err(e) => self.fail(Rank::Cluster, e),
                     }
                 }
                 Ctx::Other
@@ -250,9 +241,7 @@ impl Walk {
             Some(Ctx::Task) => match name {
                 "node_property" => {
                     if self.task.property_error.is_none() {
-                        if let Err(e) = self.task.property(attrs) {
-                            self.task.property_error = Some(e);
-                        }
+                        self.task.property_error = self.task.property(attrs).err();
                     }
                     Ctx::Other
                 }
@@ -265,9 +254,7 @@ impl Walk {
             Some(Ctx::Conf) => match name {
                 "conf_property" => {
                     if self.conf.property_error.is_none() {
-                        if let Err(e) = self.conf.property(attrs) {
-                            self.conf.property_error = Some(e);
-                        }
+                        self.conf.property_error = self.conf.property(attrs).err();
                     }
                     Ctx::Other
                 }
@@ -279,9 +266,7 @@ impl Walk {
             },
             Some(Ctx::HostLists) => {
                 if name == "hosts" && self.conf.hosts_error.is_none() {
-                    if let Err(e) = self.conf.hosts(attrs) {
-                        self.conf.hosts_error = Some(e);
-                    }
+                    self.conf.hosts_error = self.conf.hosts(attrs).err();
                 }
                 Ctx::Other
             }
@@ -292,18 +277,15 @@ impl Walk {
 
     fn end(&mut self) {
         match self.ctx.pop() {
-            Some(Ctx::Conf) => {
-                let conf = std::mem::take(&mut self.conf);
-                match conf.finish() {
-                    Ok(a) => self.task.allocations.push(a),
-                    Err(e) => {
-                        self.task.conf_error.get_or_insert(e);
-                    }
+            Some(Ctx::Conf) => match std::mem::take(&mut self.conf).finish() {
+                Ok(a) => self.task.allocations.push(a),
+                Err(e) => {
+                    self.task.conf_error.get_or_insert(e);
                 }
-            }
+            },
             Some(Ctx::Task) => match std::mem::take(&mut self.task).finish() {
                 Ok(t) => self.tasks.push(t),
-                Err(e) => self.fail(TASK, e),
+                Err(e) => self.fail(Rank::Task, e),
             },
             _ => {}
         }
@@ -311,10 +293,10 @@ impl Walk {
 
     fn finish(mut self) -> Result<Schedule, IoError> {
         if !self.platform_seen {
-            self.fail(PLATFORM, IoError::format("missing <platform> header"));
+            self.fail(Rank::Platform, IoError::format("missing <platform> header"));
         } else if self.clusters.is_empty() {
             let e = IoError::format("a schedule requires at least one <cluster>");
-            self.fail(NO_CLUSTER, e);
+            self.fail(Rank::NoCluster, e);
         }
         if let Some((_, e)) = self.error {
             return Err(e);
@@ -406,7 +388,9 @@ impl ConfState {
         let nb = require(attrs, "hosts", "nb").map_err(plain)?;
         let nb = parse_u32("hosts nb", nb).map_err(plain)?;
         if start.checked_add(nb).is_none() {
-            return Err(ConfError::Overflow { start, nb });
+            let max = u32::MAX;
+            let msg = format!("<hosts start=\"{start}\" nb=\"{nb}\"> ends past host index {max}");
+            return Err(ConfError::Quoting(msg));
         }
         self.ranges.push(HostRange::new(start, nb));
         Ok(())
@@ -419,7 +403,9 @@ impl ConfState {
         if let Some(e) = self.property_error {
             return Err(ConfError::Plain(e));
         }
-        let cluster = self.cluster.ok_or(ConfError::NoCluster)?;
+        let cluster = self
+            .cluster
+            .ok_or_else(|| ConfError::Quoting("configuration without cluster_id".to_string()))?;
         if let Some(e) = self.hosts_error {
             return Err(e);
         }
@@ -431,7 +417,8 @@ impl ConfState {
         if let Some(nb) = self.host_nb {
             let count = hosts.count();
             if count != nb {
-                return Err(ConfError::HostNb { nb, count });
+                let msg = format!("host_nb={nb} but host list contains {count} hosts");
+                return Err(ConfError::Quoting(msg));
             }
         }
         Ok(Allocation::new(cluster, hosts))

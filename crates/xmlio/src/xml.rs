@@ -115,9 +115,9 @@ pub(crate) fn missing_attr(element: &str, attr: &str) -> IoError {
 // Tokenizing
 // ---------------------------------------------------------------------------
 
-/// The deepest element nesting either reader accepts; a start tag below
-/// it is a parse error at the tag. Every Jedule, color-map, DAX and
-/// platform document is under ten levels deep. The cap keeps hostile
+/// The deepest element nesting either reader accepts: a start tag one
+/// level deeper is a parse error at its `<`. Every Jedule, color-map, DAX
+/// and platform document is under ten levels deep. The cap keeps hostile
 /// input from growing the open-element stack without bound and keeps
 /// the recursive drop of an [`Element`] tree shallow.
 pub const MAX_DEPTH: usize = 1024;
@@ -137,10 +137,10 @@ pub(crate) enum Token<'a> {
 
 /// An iterative pull tokenizer over a whole document.
 ///
-/// It checks everything [`parse`] checks, in the same order and at the
-/// same positions: one well-formed root, matched closing tags, quoted
-/// attributes, terminated comments, CDATA sections, PIs and DOCTYPEs,
-/// and decodable entities in attribute values and text. The open
+/// It checks all of the syntax, in document order: one root element,
+/// matched closing tags, quoted attributes, terminated comments, CDATA
+/// sections, PIs and DOCTYPEs, and decodable entities in attribute
+/// values and text. The first violation is the error. The open
 /// elements live on an explicit stack capped at [`MAX_DEPTH`], so no
 /// input can overflow the call stack. Positions are byte offsets; a line
 /// and column are computed only when an error is built.
@@ -472,9 +472,10 @@ pub fn escape_attr(s: &str) -> String {
 
 /// Parses a document and returns its root element.
 ///
-/// The tree is built from [`Tokenizer`] tokens. Text is kept per element,
-/// concatenated across comments, PIs and CDATA sections, and dropped when
-/// it is whitespace only.
+/// The tree is built from the tokenizer's tokens, so nesting is capped
+/// at [`MAX_DEPTH`]. Text is kept per element, concatenated across
+/// comments, PIs and CDATA sections, and dropped when it is whitespace
+/// only.
 pub fn parse(src: &str) -> Result<Element, IoError> {
     let mut tok = Tokenizer::new(src);
     // Open elements, outermost first. Text pends only in the innermost
