@@ -409,11 +409,7 @@ impl ConfState {
         if let Some(e) = self.hosts_error {
             return Err(e);
         }
-        let hosts = match self.ranges[..] {
-            [] => HostSet::new(),
-            [r] => HostSet::contiguous(r.start, r.nb),
-            _ => HostSet::from_ranges(self.ranges),
-        };
+        let hosts = HostSet::from_ranges(self.ranges);
         if let Some(nb) = self.host_nb {
             let count = hosts.count();
             if count != nb {

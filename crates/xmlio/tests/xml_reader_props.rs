@@ -1,6 +1,6 @@
-//! `read_schedule` against its specification.
+//! The two consumers of the XML tokenizer against their specifications.
 //!
-//! `read_schedule` reads Jedule XML in one pass over the XML tokenizer's
+//! `read_schedule` reads Jedule XML in one pass over the tokenizer's
 //! tokens. Its specification is the tree walk it replaced, kept below
 //! verbatim as `dom_reference` over `xml::parse`. For every document
 //! nested at most `MAX_DEPTH` deep whose `<hosts>` ranges fit in `u32`,
@@ -8,16 +8,24 @@
 //! errors at the same line and column. `IoError` has no `PartialEq`, so
 //! results are compared by their `Debug` text.
 //!
+//! `xml::parse` builds its tree from the same tokens, so it cannot be
+//! the tokenizer's oracle. Its specification is the recursive parser it
+//! replaced, kept below verbatim as `recursive_parse`: the same tree or
+//! the same error on every document.
+//!
 //! The corpus: writer output of arbitrary schedules (names and values
 //! with markup characters, several clusters, multi-range host sets,
-//! meta), hand-shaped documents for each ordering rule of the walk, every
-//! truncation of those, and random edits with markup bytes.
+//! meta), the element trees of `proptests.rs`, hand-shaped documents for
+//! each ordering rule of the walk, every truncation of those, and random
+//! edits with markup bytes.
 
 use jedule_core::{Allocation, HostRange, HostSet, Schedule, ScheduleBuilder, Task};
-use jedule_xmlio::xml::{self, Element};
+use jedule_xmlio::error::Pos;
+use jedule_xmlio::xml::{self, Element, Node};
 use jedule_xmlio::{read_schedule, write_schedule_string, IoError};
 use proptest::prelude::*;
 use proptest::test_runner::TestRng;
+use std::borrow::Cow;
 
 // ---------------------------------------------------------------------------
 // The reference
@@ -162,47 +170,36 @@ fn read_task(node: &Element) -> Result<Task, IoError> {
 // Comparison
 // ---------------------------------------------------------------------------
 
-/// How many documents a test compared, and how many both readers
-/// accepted.
-#[derive(Default)]
-struct Tally {
-    compared: usize,
-    accepted: usize,
+/// Asserts that `read_schedule` and the tree walk agree on `src`, and
+/// returns whether both accepted it. A document with a `<hosts>` range
+/// that wraps `u32` is outside the contract (the walk wraps it or, in a
+/// debug build, panics) and is skipped.
+fn schedules_agree(src: &str) -> bool {
+    let new = read_schedule(src);
+    if matches!(&new, Err(IoError::Format(m)) if m.contains("ends past host index")) {
+        return false;
+    }
+    let new = format!("{new:?}");
+    let reference = format!("{:?}", dom_reference(src));
+    assert_eq!(new, reference, "schedule readers disagree on {src:?}");
+    new.starts_with("Ok")
 }
 
-impl Tally {
-    /// Asserts that both readers agree on `src`. A document with a
-    /// `<hosts>` range that wraps `u32` is outside the contract (the
-    /// reference wraps or, in a debug build, panics) and is skipped.
-    fn check(&mut self, src: &str) {
-        let new = read_schedule(src);
-        if matches!(&new, Err(IoError::Format(m)) if m.contains("ends past host index")) {
-            return;
-        }
-        let new = format!("{new:?}");
-        let reference = format!("{:?}", dom_reference(src));
-        assert_eq!(new, reference, "readers disagree on {src:?}");
-        self.compared += 1;
-        self.accepted += usize::from(new.starts_with("Ok"));
-    }
+/// Asserts that `xml::parse` and the recursive parser agree on `src`.
+fn trees_agree(src: &str) {
+    let new = format!("{:?}", xml::parse(src));
+    let reference = format!("{:?}", recursive_parse(src));
+    assert_eq!(new, reference, "tree parsers disagree on {src:?}");
+}
 
-    /// Checks `doc`, every proper prefix of it, and `edits` random edits.
-    fn check_family(&mut self, doc: &str, rng: &mut TestRng, edits: usize) {
-        self.check(doc);
-        for cut in truncations(doc) {
-            self.check(cut);
-        }
-        for edited in random_edits(doc, rng, edits) {
-            self.check(&edited);
-        }
-    }
-
-    fn report(&self, test: &str) {
-        eprintln!(
-            "{test}: {} documents compared, {} accepted by both readers",
-            self.compared, self.accepted
-        );
-    }
+/// `doc`, every proper prefix of it, and `edits` random edits of it.
+fn family<'d>(doc: &'d str, rng: &mut TestRng, edits: usize) -> Vec<Cow<'d, str>> {
+    let prefixes = truncations(doc).map(Cow::Borrowed);
+    let edited = random_edits(doc, rng, edits).into_iter().map(Cow::Owned);
+    std::iter::once(Cow::Borrowed(doc))
+        .chain(prefixes)
+        .chain(edited)
+        .collect()
 }
 
 /// Every proper prefix of `doc` that ends on a char boundary.
@@ -298,6 +295,49 @@ fn arb_schedule() -> impl Strategy<Value = Schedule> {
             }
             b.build_unchecked()
         })
+}
+
+fn arb_name() -> impl Strategy<Value = String> {
+    proptest::string::string_regex("[A-Za-z_][A-Za-z0-9_.-]{0,12}").expect("valid regex")
+}
+
+fn arb_element_text() -> impl Strategy<Value = String> {
+    proptest::string::string_regex("[ -~àéü☃𝄞]{0,40}").expect("valid regex")
+}
+
+/// The element trees of `proptests.rs`.
+fn arb_element(depth: u32) -> BoxedStrategy<Element> {
+    let leaf = (
+        arb_name(),
+        proptest::collection::vec((arb_name(), arb_element_text()), 0..4),
+        arb_element_text(),
+    )
+        .prop_map(|(name, attrs, text)| {
+            let mut el = Element::new(name);
+            el.attrs = attrs;
+            if !text.trim().is_empty() {
+                el = el.text_child(text);
+            }
+            el
+        });
+    if depth == 0 {
+        leaf.boxed()
+    } else {
+        (
+            leaf,
+            proptest::collection::vec(arb_element(depth - 1), 0..3),
+        )
+            .prop_map(|(mut el, children)| {
+                if !children.is_empty() {
+                    el.children.clear();
+                    for c in children {
+                        el = el.child(c);
+                    }
+                }
+                el
+            })
+            .boxed()
+    }
 }
 
 /// A valid task element with the given id and one configuration.
@@ -470,11 +510,15 @@ fn hand_docs() -> Vec<String> {
 #[test]
 fn hand_shaped_documents_agree() {
     let mut rng = TestRng::for_test("hand_shaped_documents_agree");
-    let mut tally = Tally::default();
+    let (mut compared, mut accepted) = (0, 0);
     for doc in hand_docs() {
-        tally.check_family(&doc, &mut rng, 400);
+        for src in family(&doc, &mut rng, 400) {
+            trees_agree(&src);
+            accepted += usize::from(schedules_agree(&src));
+            compared += 1;
+        }
     }
-    tally.report("hand-shaped documents");
+    eprintln!("{compared} hand-shaped documents agree, {accepted} accepted by both");
 }
 
 proptest! {
@@ -483,8 +527,18 @@ proptest! {
     #[test]
     fn writer_output_agrees(s in arb_schedule(), seed in any::<u64>()) {
         let doc = write_schedule_string(&s);
-        let mut tally = Tally::default();
-        tally.check_family(&doc, &mut TestRng::seed_from_u64(seed), 200);
+        for src in family(&doc, &mut TestRng::seed_from_u64(seed), 200) {
+            trees_agree(&src);
+            schedules_agree(&src);
+        }
+    }
+
+    #[test]
+    fn element_trees_agree(el in arb_element(3), seed in any::<u64>()) {
+        let doc = xml::write_document(&el);
+        for src in family(&doc, &mut TestRng::seed_from_u64(seed), 200) {
+            trees_agree(&src);
+        }
     }
 }
 
@@ -541,11 +595,8 @@ fn wrapped_hosts_range_is_rejected_naming_the_task() {
 }
 
 // ---------------------------------------------------------------------------
-// The recursive parser `xml::parse` replaced
+// The reference for `xml::parse`
 // ---------------------------------------------------------------------------
-
-use jedule_xmlio::error::Pos;
-use jedule_xmlio::xml::Node;
 
 struct Scanner<'a> {
     bytes: &'a [u8],
@@ -656,8 +707,8 @@ impl<'a> Scanner<'a> {
     }
 }
 /// The recursive parser that `xml::parse` replaced, verbatim but for its
-/// name.
-fn old_parse(src: &str) -> Result<Element, IoError> {
+/// name and that of its entity decoder.
+fn recursive_parse(src: &str) -> Result<Element, IoError> {
     let mut sc = Scanner::new(src);
     skip_misc(&mut sc)?;
     let at = sc.pos();
@@ -735,7 +786,7 @@ fn parse_element(sc: &mut Scanner) -> Result<Element, IoError> {
                     _ => return Err(IoError::xml("expected quoted attribute value", at)),
                 };
                 let raw = sc.until(if quote == b'"' { "\"" } else { "'" })?;
-                el.attrs.push((aname, old_unescape(&raw, at)?));
+                el.attrs.push((aname, reference_unescape(&raw, at)?));
             }
             None => return Err(IoError::xml("unterminated start tag", sc.pos())),
         }
@@ -783,7 +834,7 @@ fn parse_element(sc: &mut Scanner) -> Result<Element, IoError> {
                     }
                     let raw = std::str::from_utf8(&sc.bytes[start..sc.i])
                         .map_err(|_| IoError::xml("invalid UTF-8 in text", at))?;
-                    text_buf.push_str(&old_unescape(raw, at)?);
+                    text_buf.push_str(&reference_unescape(raw, at)?);
                 }
             }
         }
@@ -799,7 +850,7 @@ fn flush_text(el: &mut Element, buf: &mut String) {
 }
 
 /// Decodes the predefined entities and numeric character references.
-fn old_unescape(raw: &str, at: Pos) -> Result<String, IoError> {
+fn reference_unescape(raw: &str, at: Pos) -> Result<String, IoError> {
     if !raw.contains('&') {
         return Ok(raw.to_owned());
     }
@@ -843,93 +894,4 @@ fn old_unescape(raw: &str, at: Pos) -> Result<String, IoError> {
     }
     out.push_str(rest);
     Ok(out)
-}
-
-fn arb_name() -> impl Strategy<Value = String> {
-    proptest::string::string_regex("[A-Za-z_][A-Za-z0-9_.-]{0,12}").expect("valid regex")
-}
-
-fn arb_element_text() -> impl Strategy<Value = String> {
-    proptest::string::string_regex("[ -~àéü☃𝄞]{0,40}").expect("valid regex")
-}
-
-/// The element trees of `proptests.rs`.
-fn arb_element(depth: u32) -> BoxedStrategy<Element> {
-    let leaf = (
-        arb_name(),
-        proptest::collection::vec((arb_name(), arb_element_text()), 0..4),
-        arb_element_text(),
-    )
-        .prop_map(|(name, attrs, text)| {
-            let mut el = Element::new(name);
-            el.attrs = attrs;
-            if !text.trim().is_empty() {
-                el = el.text_child(text);
-            }
-            el
-        });
-    if depth == 0 {
-        leaf.boxed()
-    } else {
-        (
-            leaf,
-            proptest::collection::vec(arb_element(depth - 1), 0..3),
-        )
-            .prop_map(|(mut el, children)| {
-                if !children.is_empty() {
-                    el.children.clear();
-                    for c in children {
-                        el = el.child(c);
-                    }
-                }
-                el
-            })
-            .boxed()
-    }
-}
-
-/// Compares the tokenizer's tree with the recursive parser's on `doc`,
-/// its prefixes and `edits` random edits; returns how many agreed.
-fn trees_agree(doc: &str, rng: &mut TestRng, edits: usize) -> usize {
-    let mut n = 0;
-    let mut check = |src: &str| {
-        let new = format!("{:?}", xml::parse(src));
-        let old = format!("{:?}", old_parse(src));
-        assert_eq!(new, old, "tree parsers disagree on {src:?}");
-        n += 1;
-    };
-    check(doc);
-    for cut in truncations(doc) {
-        check(cut);
-    }
-    for edited in random_edits(doc, rng, edits) {
-        check(&edited);
-    }
-    n
-}
-
-#[test]
-fn tree_parser_matches_the_recursive_one_on_hand_shaped_documents() {
-    let mut rng = TestRng::for_test("tree_hand");
-    let n: usize = hand_docs()
-        .iter()
-        .map(|d| trees_agree(d, &mut rng, 400))
-        .sum();
-    eprintln!("tree parsers: {n} hand-shaped documents agree");
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    #[test]
-    fn tree_parser_matches_the_recursive_one(
-        s in arb_schedule(),
-        el in arb_element(3),
-        seed in any::<u64>(),
-    ) {
-        let mut rng = TestRng::seed_from_u64(seed);
-        let n = trees_agree(&write_schedule_string(&s), &mut rng, 200)
-            + trees_agree(&xml::write_document(&el), &mut rng, 200);
-        eprintln!("tree parsers: {n} documents agree");
-    }
 }
