@@ -305,9 +305,10 @@ fn inputs_outside_the_root_are_rejected() {
     server.shutdown().unwrap();
 }
 
-/// A `.jed` nested 200k levels deep used to overflow the worker's stack,
-/// which no `catch_unwind` can catch: the whole server aborted. It must
-/// be a client error, and the server must keep answering.
+/// No `catch_unwind` can catch a stack overflow, so a reader that recursed
+/// per nesting level would take the whole server down on a `.jed` nested
+/// 200k levels deep. It must be a client error, and the server must keep
+/// answering.
 #[test]
 fn deeply_nested_xml_is_a_client_error_and_the_server_survives() {
     let (server, root, _csv) = start("deepxml");

@@ -738,8 +738,8 @@ mod tests {
             assert!(read_schedule(&xml[..n]).is_err(), "prefix {n} accepted");
         }
         assert!(read_schedule(&xml[..end]).is_ok());
-        // The cut of the old streaming reader's test: a syntax error with
-        // a position, not a partial schedule.
+        // Half a document is a syntax error with a position, not a
+        // partial schedule.
         let err = read_schedule(&xml[..xml.len() / 2]).unwrap_err();
         assert!(err.to_string().starts_with("parse error at "), "{err}");
     }

@@ -563,8 +563,9 @@ fn nesting_past_max_depth_is_a_positioned_error() {
 }
 
 /// The contract's second bound: a `<hosts>` range whose end passes
-/// `u32::MAX` is rejected, not wrapped. The tree walk wrapped it: an
-/// 8-host cluster accepted `start="4294967295" nb="2"` as host 0.
+/// `u32::MAX` is rejected, not wrapped. The tree walk wraps it, so these
+/// documents are outside the comparison: it takes `start="4294967295"
+/// nb="2"` on an 8-host cluster as host 0.
 #[test]
 fn wrapped_hosts_range_is_rejected_naming_the_task() {
     for (start, nb) in [(u32::MAX, 2), (u32::MAX, 1), (1, u32::MAX)] {
