@@ -34,14 +34,13 @@
 //! A `<meta_info>`/`<meta .../>` block (paper, §II-C2) is accepted as an
 //! alias for `<jedule_meta>`.
 //!
-//! [`read_schedule`] is single-pass: it consumes the tokens of the
-//! [`xml`] module's tokenizer and builds the schedule as tags open and
-//! close, so no element tree is built even for §VI's traces of "more than
-//! 200,000 individual tasks". It is exactly as strict as a walk over
-//! [`xml::parse`]'s tree, error for error; `tests/xml_reader_props.rs`
-//! holds that walk as its reference. Like every reader of the module,
-//! it rejects elements nested deeper than [`xml::MAX_DEPTH`].
-//! The writer builds an [`Element`] tree and serializes it.
+//! [`read_schedule`] is single-pass: it builds the schedule from the
+//! tokens of the [`xml`] module's tokenizer as tags open and close, with
+//! no element tree, even for §VI's traces of "more than 200,000
+//! individual tasks". Like [`xml::parse`], it rejects nesting deeper than
+//! [`xml::MAX_DEPTH`] with a positioned error. `tests/xml_reader_props.rs`
+//! holds the tree walk it must agree with, error for error. The writer
+//! builds an [`Element`] tree and serializes it.
 
 use crate::error::IoError;
 use crate::xml::{self, Element, Token, Tokenizer};
