@@ -14,12 +14,23 @@
 //! inspect the artifacts) or an accidental regression.
 
 use jedule_bench as fig;
-use jedule_core::snap::source_digest;
 use jedule_core::transform::{merge, normalize};
 use jedule_core::PreparedSchedule;
 use jedule_render::{render, render_prepared, LodMode, OutputFormat, RenderOptions};
 use jedule_workloads::convert::{assigned_to_schedule, workload_colormap};
 use jedule_workloads::{synth_scale_trace, ConvertOptions};
+
+/// Byte-wise FNV-1a 64 — the digest `tests/goldens/digests.json`
+/// records. It is this gate's own, so the recorded digests stay valid
+/// whatever content digest the rest of the workspace uses.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    let mut h: u64 = 0xcbf29ce484222325;
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x100000001b3);
+    }
+    h
+}
 
 fn figures() -> Vec<(&'static str, Vec<u8>)> {
     let mut out = Vec::new();
@@ -115,7 +126,7 @@ fn main() -> std::process::ExitCode {
             if i > 0 {
                 json.push_str(",\n");
             }
-            json.push_str(&format!("  \"{name}\": \"{:016x}\"", source_digest(bytes)));
+            json.push_str(&format!("  \"{name}\": \"{:016x}\"", fnv1a64(bytes)));
         }
         json.push_str("\n}\n");
         if let Some(dir) = digests_path.parent() {
@@ -149,7 +160,7 @@ fn main() -> std::process::ExitCode {
     };
     let mut failures = Vec::new();
     for (name, bytes) in &rendered {
-        let actual = format!("{:016x}", source_digest(bytes));
+        let actual = format!("{:016x}", fnv1a64(bytes));
         match doc.get(name).and_then(|v| v.as_str()) {
             None => failures.push(format!("{name}: no recorded digest")),
             Some(expect) if expect != actual => failures.push(format!(
@@ -169,5 +180,17 @@ fn main() -> std::process::ExitCode {
             failures.join("\n  ")
         );
         std::process::ExitCode::FAILURE
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::fnv1a64;
+
+    #[test]
+    fn fnv1a64_matches_published_vectors() {
+        assert_eq!(fnv1a64(b""), 0xcbf29ce484222325);
+        assert_eq!(fnv1a64(b"a"), 0xaf63dc4c8601ec8c);
+        assert_eq!(fnv1a64(b"foobar"), 0x85944171f73967e8);
     }
 }

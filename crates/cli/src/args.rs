@@ -91,8 +91,9 @@ pub fn parse_schedule_src(
 ///   and served directly — the input is only streamed through the
 ///   digest, never held in memory or parsed, and (unless the caller
 ///   materializes) no `Schedule` is ever built;
-/// * a **stale** sidecar (digest mismatch after the input changed) is
-///   silently ignored and rewritten after the text parse;
+/// * a **stale** sidecar (digest mismatch after the input changed, or
+///   another format version) is silently ignored and rewritten after
+///   the text parse;
 /// * a **corrupt** sidecar is reported to stderr, ignored, and
 ///   rewritten — it never fails the command.
 ///

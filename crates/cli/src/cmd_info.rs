@@ -2,6 +2,7 @@
 //! paper motivates the tool with).
 
 use crate::args::{digest_file, load_schedule, Args};
+use jedule_core::snap::{self, PACK_VERSION};
 use jedule_core::stats::{idle_holes, schedule_stats};
 use jedule_core::validate;
 use jedule_xmlio::json::{obj, Json};
@@ -93,9 +94,11 @@ pub fn run(argv: &[String]) -> Result<(), String> {
             PackStatus::Ok { version, fresh } => println!(
                 "pack     : v{version}, {}",
                 if *fresh {
-                    "fresh"
+                    "fresh".to_string()
+                } else if *version != PACK_VERSION {
+                    format!("STALE (format changed; this build reads v{PACK_VERSION})")
                 } else {
-                    "STALE (input changed)"
+                    "STALE (input changed)".to_string()
                 }
             ),
             PackStatus::Invalid(e) => println!("pack     : invalid ({e})"),
@@ -126,18 +129,18 @@ enum PackStatus {
 }
 
 /// Header-only freshness probe of the input's sidecar: present/absent,
-/// format version, and whether the stored source digest still matches
-/// the input bytes (a stale pack is valid but will be ignored and
-/// rebuilt by `--pack-sidecar` runs).
+/// format version, and whether it is current — at [`PACK_VERSION`],
+/// with a stored source digest that still matches the input bytes (a
+/// stale pack is ignored and rebuilt by `--pack-sidecar` runs).
 fn pack_status(input: &str) -> PackStatus {
-    use jedule_core::snap;
     let sidecar = snap::sidecar_path(std::path::Path::new(input));
     if !sidecar.exists() {
         return PackStatus::Absent;
     }
     match snap::peek(&sidecar) {
         Ok(info) => {
-            let fresh = digest_file(input).is_ok_and(|d| d == info.source_digest);
+            let fresh = info.version == PACK_VERSION
+                && digest_file(input).is_ok_and(|d| d == info.source_digest);
             PackStatus::Ok {
                 version: info.version,
                 fresh,

@@ -64,13 +64,23 @@ pub fn run(argv: &[String]) -> Result<(), String> {
 }
 
 /// `--check`: fully loads an existing pack and reports freshness
-/// against the current input bytes. Missing, stale or corrupt packs
-/// exit nonzero so CI can gate on it.
+/// against the current input bytes. Missing, stale (another format
+/// version, or other source text) or corrupt packs exit nonzero so CI
+/// can gate on it.
 fn check_pack(input: &str, pack: &Path, digest: u64) -> Result<(), String> {
     if !pack.exists() {
         return Err(format!(
             "{}: no pack (run `jedule pack {input}`)",
             pack.display()
+        ));
+    }
+    let info = snap::peek(pack).map_err(|e| format!("{}: {e}", pack.display()))?;
+    if info.version != snap::PACK_VERSION {
+        return Err(format!(
+            "{}: stale (format v{}, this build reads v{}; run `jedule pack {input}`)",
+            pack.display(),
+            info.version,
+            snap::PACK_VERSION
         ));
     }
     let packed = snap::load(pack).map_err(|e| format!("{}: {e}", pack.display()))?;

@@ -240,7 +240,7 @@ fn pack_sidecar_lifecycle() {
     );
     assert!(jedule(&["pack", inp, "--check"]).status.success());
     let info = jedule(&["info", inp]);
-    assert!(String::from_utf8_lossy(&info.stdout).contains("pack     : v1, fresh"));
+    assert!(String::from_utf8_lossy(&info.stdout).contains("pack     : v2, fresh"));
 
     // Renders `input` to `name` with `extra` flags and `--timings`:
     // the output bytes and the timings report.
@@ -274,10 +274,63 @@ fn pack_sidecar_lifecycle() {
     edited.push(b'\n');
     std::fs::write(&input, edited).unwrap();
     let info = jedule(&["info", inp]);
-    assert!(String::from_utf8_lossy(&info.stdout).contains("pack     : v1, STALE"));
+    assert!(String::from_utf8_lossy(&info.stdout).contains("pack     : v2, STALE"));
     assert!(!jedule(&["pack", inp, "--check"]).status.success());
     let (rebuilt, _) = render(&["--pack-sidecar"], "rebuilt.svg");
     assert_eq!(rebuilt, text);
+    assert!(jedule(&["pack", inp, "--check"]).status.success());
+}
+
+/// A sidecar of an older format version is stale, not corrupt, even when
+/// its stored digests are current: `info` flags it, `pack --check`
+/// fails naming the version, and a `--pack-sidecar` render rebuilds it
+/// silently, at the current version, with the text render's bytes.
+#[test]
+fn older_version_sidecar_is_stale() {
+    use jedule_core::snap::{self, PACK_VERSION};
+    let dir = tmp();
+    let input = demo_schedule(&dir);
+    let inp = input.to_str().unwrap();
+    assert!(jedule(&["pack", inp]).status.success());
+    let sidecar = snap::sidecar_path(&input);
+    let mut pack = std::fs::read(&sidecar).unwrap();
+    pack[8..12].copy_from_slice(&(PACK_VERSION - 1).to_le_bytes());
+    std::fs::write(&sidecar, &pack).unwrap();
+
+    let info = jedule(&["info", inp]);
+    let stdout = String::from_utf8_lossy(&info.stdout);
+    assert!(
+        stdout.contains(&format!("pack     : v{}, STALE", PACK_VERSION - 1)),
+        "{stdout}"
+    );
+    let check = jedule(&["pack", inp, "--check"]);
+    let stderr = String::from_utf8_lossy(&check.stderr);
+    assert_eq!(check.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains(&format!("format v{}", PACK_VERSION - 1)),
+        "{stderr}"
+    );
+
+    let text_svg = dir.join("text.svg");
+    let packed_svg = dir.join("packed.svg");
+    assert!(jedule(&["render", inp, "-o", text_svg.to_str().unwrap()])
+        .status
+        .success());
+    let out = jedule(&[
+        "render",
+        inp,
+        "--pack-sidecar",
+        "-o",
+        packed_svg.to_str().unwrap(),
+    ]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{stderr}");
+    assert!(!stderr.contains("ignoring sidecar"), "{stderr}");
+    assert_eq!(
+        std::fs::read(&packed_svg).unwrap(),
+        std::fs::read(&text_svg).unwrap()
+    );
+    assert_eq!(snap::peek(&sidecar).unwrap().version, PACK_VERSION);
     assert!(jedule(&["pack", inp, "--check"]).status.success());
 }
 
@@ -460,6 +513,27 @@ fn deeply_nested_xml_fails_cleanly() {
         &jedule(&["render", demo, "-c", deep_cmap, "-o", out_svg]),
         "render -c",
     );
+}
+
+/// JSON nested 200k levels deep — one JSONL line of brackets, and a
+/// Chrome trace whose event list never closes — is a positioned parse
+/// error, not a stack overflow.
+#[test]
+fn deeply_nested_json_fails_cleanly() {
+    let dir = tmp();
+    let depth = 200_000;
+    let jsonl = dir.join("deep.jsonl");
+    std::fs::write(
+        &jsonl,
+        format!("{}{}\n", "[".repeat(depth), "]".repeat(depth)),
+    )
+    .unwrap();
+    let chrome = dir.join("deep.json");
+    std::fs::write(&chrome, format!("{{\"traceEvents\":{}", "[".repeat(depth))).unwrap();
+    for path in [&jsonl, &chrome] {
+        let path = path.to_str().unwrap();
+        assert_parse_error(&jedule(&["info", path]), path);
+    }
 }
 
 #[test]

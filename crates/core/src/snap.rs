@@ -14,7 +14,7 @@
 //! sections into borrowed column views — the hot render path never
 //! copies them, and names materialize lazily from the blob.
 //!
-//! ## On-disk layout (version 1)
+//! ## On-disk layout (version 2)
 //!
 //! ```text
 //! header   48 B   magic "JEDPACK1", version u32, section_count u32,
@@ -25,14 +25,20 @@
 //! ```
 //!
 //! Everything is little-endian; loading on a big-endian host is a clean
-//! [`PackError`], not a byte-swapping slow path. `source_digest` is the
-//! byte-wise FNV-1a-64 of the *source text* the pack was built from
-//! (the same digest serve's ETag cache computes), which is what makes a
-//! sidecar self-invalidating: edit the source and the stored digest no
-//! longer matches, so the pack is ignored. `body_digest` is a
-//! word-at-a-time FNV-1a-64 variant over everything after the header
+//! [`PackError`], not a byte-swapping slow path. Both digests are
+//! XXH64 with seed 0 ([`source_digest`]). `source_digest` is that of the
+//! *source text* the pack was built from (the same digest serve's ETag
+//! cache computes), which is what makes a sidecar self-invalidating:
+//! edit the source and the stored digest no longer matches, so the pack
+//! is ignored. `body_digest` covers everything after the header
 //! (section table included), so any flipped, truncated or transplanted
 //! byte fails the load before a single section is interpreted.
+//!
+//! Version 2 differs from version 1 only in its digests (version 1
+//! stored FNV-1a variants). A pack with the magic but another version
+//! is *stale*, not corrupt: [`peek`] reports its version,
+//! [`load_if_fresh`] declines it like a pack of other source text, and
+//! only [`load`] rejects it, with a [`PackError::Format`].
 //!
 //! Validation happens entirely inside [`load`]: section bounds and
 //! alignment, CSR monotonicity, id ranges, row bounds against cluster
@@ -67,15 +73,16 @@ use std::sync::Arc;
 
 /// First 8 bytes of every pack.
 pub const PACK_MAGIC: [u8; 8] = *b"JEDPACK1";
-/// Current (only) format version.
-pub const PACK_VERSION: u32 = 1;
+/// The format version this build writes and loads. A pack of any other
+/// version is stale (see [`load_if_fresh`]).
+pub const PACK_VERSION: u32 = 2;
 /// Sidecar file extension, appended to the full input name
 /// (`trace.swf` → `trace.swf.jpack`).
 pub const PACK_EXT: &str = "jpack";
 
 const HEADER_LEN: usize = 48;
 const TABLE_ENTRY_LEN: usize = 24;
-/// Version 1 has exactly these sections, each exactly once.
+/// [`PACK_VERSION`] has exactly these sections, each exactly once.
 const SEC_COUNT: u32 = 24;
 
 const SEC_STARTS: u32 = 1;
@@ -132,24 +139,129 @@ fn bad(msg: impl Into<String>) -> PackError {
 // Digests
 // ---------------------------------------------------------------------------
 
-const FNV_OFFSET: u64 = 0xcbf29ce484222325;
-const FNV_PRIME: u64 = 0x100000001b3;
+const P1: u64 = 0x9E3779B185EBCA87;
+const P2: u64 = 0xC2B2AE3D27D4EB4F;
+const P3: u64 = 0x165667B19E3779F9;
+const P4: u64 = 0x85EBCA77C2B2AE63;
+const P5: u64 = 0x27D4EB2F165667C5;
 
-/// Folds `bytes` into a running byte-wise FNV-1a-64 state.
-fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
+/// Bytes per XXH64 stripe: one little-endian word for each of 4 lanes.
+const STRIPE: usize = 32;
+
+fn xxh_round(acc: u64, w: u64) -> u64 {
+    acc.wrapping_add(w.wrapping_mul(P2))
+        .rotate_left(31)
+        .wrapping_mul(P1)
 }
 
-/// Byte-wise FNV-1a-64 — the digest of the *source text* stored in the
-/// header, and the workspace's one content digest: serve's ETags and
-/// the golden-figure gate use it too, so a pack sidecar and serve's
-/// stat-validated digest cache agree byte for byte.
+fn le64(b: &[u8]) -> u64 {
+    u64::from_le_bytes(b[..8].try_into().expect("8-byte word"))
+}
+
+/// Streaming XXH64 with seed 0, as published (Collet, `xxhash_spec.md`).
+/// A partial stripe is carried across [`Xxh64::update`] calls, so every
+/// way of chunking the input gives the same digest.
+struct Xxh64 {
+    lanes: [u64; 4],
+    /// The partial stripe, `tail_len` bytes of it.
+    tail: [u8; STRIPE],
+    tail_len: usize,
+    total: u64,
+}
+
+impl Xxh64 {
+    fn new() -> Xxh64 {
+        Xxh64 {
+            lanes: [P1.wrapping_add(P2), P2, 0, P1.wrapping_neg()],
+            tail: [0; STRIPE],
+            tail_len: 0,
+            total: 0,
+        }
+    }
+
+    /// Feeds whole stripes of `bytes` to the lanes; returns the rest.
+    fn stripes<'b>(&mut self, bytes: &'b [u8]) -> &'b [u8] {
+        let [mut v1, mut v2, mut v3, mut v4] = self.lanes;
+        let mut chunks = bytes.chunks_exact(STRIPE);
+        for s in &mut chunks {
+            v1 = xxh_round(v1, le64(&s[0..]));
+            v2 = xxh_round(v2, le64(&s[8..]));
+            v3 = xxh_round(v3, le64(&s[16..]));
+            v4 = xxh_round(v4, le64(&s[24..]));
+        }
+        self.lanes = [v1, v2, v3, v4];
+        chunks.remainder()
+    }
+
+    fn update(&mut self, mut bytes: &[u8]) {
+        self.total += bytes.len() as u64;
+        if self.tail_len > 0 {
+            let k = (STRIPE - self.tail_len).min(bytes.len());
+            self.tail[self.tail_len..self.tail_len + k].copy_from_slice(&bytes[..k]);
+            self.tail_len += k;
+            bytes = &bytes[k..];
+            if self.tail_len < STRIPE {
+                return;
+            }
+            let stripe = self.tail;
+            self.stripes(&stripe);
+            self.tail_len = 0;
+        }
+        let rest = self.stripes(bytes);
+        self.tail[..rest.len()].copy_from_slice(rest);
+        self.tail_len = rest.len();
+    }
+
+    fn finish(&self) -> u64 {
+        let mut h = if self.total >= STRIPE as u64 {
+            let [v1, v2, v3, v4] = self.lanes;
+            let mut h = v1
+                .rotate_left(1)
+                .wrapping_add(v2.rotate_left(7))
+                .wrapping_add(v3.rotate_left(12))
+                .wrapping_add(v4.rotate_left(18));
+            for v in self.lanes {
+                h = (h ^ xxh_round(0, v)).wrapping_mul(P1).wrapping_add(P4);
+            }
+            h
+        } else {
+            P5
+        };
+        h = h.wrapping_add(self.total);
+        let mut rest = &self.tail[..self.tail_len];
+        while rest.len() >= 8 {
+            h ^= xxh_round(0, le64(rest));
+            h = h.rotate_left(27).wrapping_mul(P1).wrapping_add(P4);
+            rest = &rest[8..];
+        }
+        if rest.len() >= 4 {
+            let w = u32::from_le_bytes(rest[..4].try_into().expect("4-byte word"));
+            h ^= u64::from(w).wrapping_mul(P1);
+            h = h.rotate_left(23).wrapping_mul(P2).wrapping_add(P3);
+            rest = &rest[4..];
+        }
+        for &b in rest {
+            h ^= u64::from(b).wrapping_mul(P5);
+            h = h.rotate_left(11).wrapping_mul(P1);
+        }
+        h ^= h >> 33;
+        h = h.wrapping_mul(P2);
+        h ^= h >> 29;
+        h = h.wrapping_mul(P3);
+        h ^= h >> 32;
+        h
+    }
+}
+
+/// XXH64 (seed 0) of `bytes` — the workspace's one content digest. It
+/// is the *source text* digest stored in a pack's header and the pack's
+/// body digest, and serve keys its ETags, digest cache and tiles by it,
+/// so a sidecar and serve's stat-validated digest cache agree byte for
+/// byte.
 pub fn source_digest(bytes: &[u8]) -> u64 {
-    fnv1a(FNV_OFFSET, bytes)
+    let mut h = Xxh64::new();
+    h.update(bytes);
+    h.finish()
 }
 
 /// [`source_digest`] of everything `reader` yields, streamed through one
@@ -157,31 +269,15 @@ pub fn source_digest(bytes: &[u8]) -> u64 {
 /// freshness check needs only the digest, never the text.
 pub fn source_digest_reader(mut reader: impl std::io::Read) -> std::io::Result<u64> {
     let mut buf = vec![0u8; 1 << 16];
-    let mut h = FNV_OFFSET;
+    let mut h = Xxh64::new();
     loop {
         match reader.read(&mut buf) {
-            Ok(0) => return Ok(h),
-            Ok(k) => h = fnv1a(h, &buf[..k]),
+            Ok(0) => return Ok(h.finish()),
+            Ok(k) => h.update(&buf[..k]),
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
             Err(e) => return Err(e),
         }
     }
-}
-
-/// Word-at-a-time FNV-1a-64 variant over the pack body. Folding eight
-/// bytes per multiply keeps the mandatory integrity check linear at
-/// memory speed — a byte-wise FNV over a ~70 MB pack would cost more
-/// than the whole load is allowed to. Any flipped byte still changes a
-/// folded word, so corruption detection is equivalent.
-fn body_digest(bytes: &[u8]) -> u64 {
-    let mut h = FNV_OFFSET;
-    let mut chunks = bytes.chunks_exact(8);
-    for c in &mut chunks {
-        let w = u64::from_le_bytes([c[0], c[1], c[2], c[3], c[4], c[5], c[6], c[7]]);
-        h ^= w;
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    fnv1a(h, chunks.remainder())
 }
 
 // ---------------------------------------------------------------------------
@@ -711,7 +807,7 @@ fn assemble(sections: &[(u32, Vec<u8>)], src_digest: u64) -> Vec<u8> {
         out[e + 16..e + 24].copy_from_slice(&(bytes.len() as u64).to_le_bytes());
         out[*off..off + bytes.len()].copy_from_slice(bytes);
     }
-    let digest = body_digest(&out[HEADER_LEN..]);
+    let digest = source_digest(&out[HEADER_LEN..]);
     out[24..32].copy_from_slice(&digest.to_le_bytes());
     out
 }
@@ -754,8 +850,11 @@ pub fn sidecar_path(input: &Path) -> PathBuf {
 /// compare before committing to a full load.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PackInfo {
+    /// The stored format version; a pack is current only at
+    /// [`PACK_VERSION`].
     pub version: u32,
-    /// FNV-1a-64 of the source text the pack was built from.
+    /// The stored source digest ([`source_digest`] of the source text,
+    /// in a current pack).
     pub source_digest: u64,
 }
 
@@ -770,11 +869,6 @@ fn parse_header(head: &[u8]) -> Result<(u32, u32, u64, u64, u64), PackError> {
         return Err(bad("bad magic (not a jpack file)"));
     }
     let version = u32::from_le_bytes(head[8..12].try_into().unwrap());
-    if version != PACK_VERSION {
-        return Err(bad(format!(
-            "unsupported version {version} (supported: {PACK_VERSION})"
-        )));
-    }
     let nsec = u32::from_le_bytes(head[12..16].try_into().unwrap());
     let src = u64::from_le_bytes(head[16..24].try_into().unwrap());
     let body = u64::from_le_bytes(head[24..32].try_into().unwrap());
@@ -782,7 +876,9 @@ fn parse_header(head: &[u8]) -> Result<(u32, u32, u64, u64, u64), PackError> {
     Ok((version, nsec, src, body, file_len))
 }
 
-/// Reads and validates only the 48-byte header of `path`.
+/// Reads only the 48-byte header of `path`. A pack of another format
+/// version is not an error here: its version is returned, and callers
+/// treat it as stale.
 pub fn peek(path: &Path) -> Result<PackInfo, PackError> {
     use std::io::Read;
     let mut f =
@@ -1229,7 +1325,12 @@ fn load_from(buf: Arc<PackBuf>) -> Result<PackedSchedule, PackError> {
         return Err(bad("jpack sections are little-endian; unsupported host"));
     }
     let b = buf.bytes();
-    let (_, nsec, src_digest, stored_body, file_len) = parse_header(b)?;
+    let (version, nsec, src_digest, stored_body, file_len) = parse_header(b)?;
+    if version != PACK_VERSION {
+        return Err(bad(format!(
+            "unsupported version {version} (supported: {PACK_VERSION})"
+        )));
+    }
     if file_len != b.len() as u64 {
         return Err(bad(format!(
             "file length {} != header length {file_len} (truncated?)",
@@ -1247,7 +1348,7 @@ fn load_from(buf: Arc<PackBuf>) -> Result<PackedSchedule, PackError> {
     }
     {
         let _d = obs::span("pack.digest");
-        if body_digest(&b[HEADER_LEN..]) != stored_body {
+        if source_digest(&b[HEADER_LEN..]) != stored_body {
             return Err(bad("body digest mismatch (corrupt pack)"));
         }
     }
@@ -1533,16 +1634,17 @@ fn load_from(buf: Arc<PackBuf>) -> Result<PackedSchedule, PackError> {
     })
 }
 
-/// Loads `pack_path` only if its stored source digest equals
-/// `src_digest` (the digest of the *current* source text). `Ok(None)`
-/// means a well-formed but stale pack — callers fall back to the text
-/// path silently; `Err` means unreadable or corrupt.
+/// Loads `pack_path` only if it is at [`PACK_VERSION`] and its stored
+/// source digest equals `src_digest` (the digest of the *current*
+/// source text). `Ok(None)` means a stale pack — another format
+/// version, or built from other text — and callers fall back to the
+/// text path silently; `Err` means unreadable or corrupt.
 pub fn load_if_fresh(
     pack_path: &Path,
     src_digest: u64,
 ) -> Result<Option<PackedSchedule>, PackError> {
     let info = peek(pack_path)?;
-    if info.source_digest != src_digest {
+    if info.version != PACK_VERSION || info.source_digest != src_digest {
         return Ok(None);
     }
     let packed = load(pack_path)?;
@@ -1668,15 +1770,21 @@ mod tests {
     }
 
     #[test]
-    fn source_digest_is_fnv1a64() {
-        // Published FNV-1a 64-bit test vectors.
-        assert_eq!(source_digest(b""), 0xcbf29ce484222325);
-        assert_eq!(source_digest(b"a"), 0xaf63dc4c8601ec8c);
-        assert_eq!(source_digest(b"foobar"), 0x85944171f73967e8);
-        assert_eq!(
-            source_digest_reader(&b"foobar"[..]).unwrap(),
-            source_digest(b"foobar")
-        );
+    fn source_digest_is_xxh64() {
+        // Published XXH64 (seed 0) test vectors.
+        let vectors: [(&[u8], u64); 4] = [
+            (b"", 0xef46db3751d8e999),
+            (b"a", 0xd24ec4f1a98c6e5b),
+            (b"abc", 0x44bc2cf5ad770999),
+            (
+                b"Nobody inspects the spammish repetition",
+                0xfbcea83c8a378bf1,
+            ),
+        ];
+        for (input, want) in vectors {
+            assert_eq!(source_digest(input), want, "{input:?}");
+            assert_eq!(source_digest_reader(input).unwrap(), want, "{input:?}");
+        }
     }
 
     #[test]
@@ -1732,6 +1840,28 @@ mod tests {
                 "flip at {flip}"
             );
         }
+    }
+
+    /// A pack of another format version is stale, not corrupt: `peek`
+    /// reports the version, `load_if_fresh` declines it even when its
+    /// source digest matches, and only `load` fails.
+    #[test]
+    fn other_versions_are_stale() {
+        let dir = std::env::temp_dir().join(format!("jedule-snap-version-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("s.jed.jpack");
+        for version in [PACK_VERSION - 1, PACK_VERSION + 1] {
+            let mut p = pack_of(&sched());
+            p[8..12].copy_from_slice(&version.to_le_bytes());
+            std::fs::write(&path, &p).unwrap();
+            let info = peek(&path).unwrap();
+            assert_eq!(info.version, version);
+            assert!(load_if_fresh(&path, source_digest(b"src"))
+                .unwrap()
+                .is_none());
+            assert!(matches!(load(&path), Err(PackError::Format(_))));
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -19,33 +19,20 @@ const SEC_COUNT: usize = 24;
 /// The digest the source text of every generated pack is stamped with.
 const SRC: &[u8] = b"snap_props source text";
 
-/// Re-implements the loader's word-at-a-time FNV-1a-64 body digest so a
-/// test can corrupt the section table and then re-stamp the header,
-/// forcing the *structural* validators (not the digest check) to be the
-/// ones that reject the pack.
-fn body_fnv(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    let mut chunks = bytes.chunks_exact(8);
-    for c in &mut chunks {
-        h ^= u64::from_le_bytes(c.try_into().unwrap());
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    for &b in chunks.remainder() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
-}
-
 /// Overwrites the stored body digest with the digest of the (possibly
-/// corrupted) body, so `load_bytes` gets past the integrity check.
+/// corrupted) body, so `load_bytes` gets past the integrity check and
+/// the *structural* validators are the ones that reject the pack. The
+/// body digest is the same XXH64 as the source digest.
 fn restamp(pack: &mut [u8]) {
-    let d = body_fnv(&pack[HEADER_LEN..]);
+    let d = source_digest(&pack[HEADER_LEN..]);
     pack[24..32].copy_from_slice(&d.to_le_bytes());
 }
 
-/// Section ids of the task start column and the stored index rows.
+/// Section ids of the task columns, the string blob and the stored
+/// index rows.
 const SEC_STARTS: u32 = 1;
+const SEC_ENDS: u32 = 2;
+const SEC_BLOB: u32 = 9;
 const SEC_IDX_CLUSTER_OFFSETS: u32 = 14;
 const SEC_IDX_CLUSTER_IDS: u32 = 15;
 const SEC_IDX_HOST_OFFSETS: u32 = 16;
@@ -225,7 +212,7 @@ fn layout_constants_match() {
     let nsec = u32::from_le_bytes(p[12..16].try_into().unwrap());
     assert_eq!(nsec as usize, SEC_COUNT);
     assert_eq!(
-        body_fnv(&p[HEADER_LEN..]),
+        source_digest(&p[HEADER_LEN..]),
         u64::from_le_bytes(p[24..32].try_into().unwrap())
     );
     // Re-stamping a pristine pack is a no-op: it still loads.
@@ -257,6 +244,98 @@ fn restamped_index_corruption_is_rejected_at_load() {
     // Both sections saw both kinds: 12 ids plus swaps in the cluster
     // rows, 24 ids plus swaps in the host rows.
     assert!(cluster > 12 && host > 24, "{cluster} {host}");
+}
+
+/// Flipping bit 63 of two body words — the sign bits of two `f64`
+/// columns entries, or the top bytes of two blob words — is caught by
+/// the body digest itself. A multiply-only word fold carries the top
+/// bit of a word only upward, so two such flips cancel in it.
+#[test]
+fn two_top_bit_flips_fail_the_body_digest() {
+    let mut b = ScheduleBuilder::new().cluster(0, "c0", 8);
+    for i in 0..40u32 {
+        let start = f64::from(i);
+        b = b.task(
+            Task::new(format!("task-{i:04}"), "work", start, start + 3.0)
+                .on(Allocation::contiguous(0, i % 8, 1)),
+        );
+    }
+    let p = pack_of(&b.build().unwrap());
+    let word = |id: u32, k: usize| {
+        let (off, len) = section(&p, id);
+        assert!(8 * k + 8 <= len, "section {id} has no word {k}");
+        off + 8 * k
+    };
+    let pairs = [
+        (word(SEC_STARTS, 0), word(SEC_STARTS, 1)),
+        (word(SEC_STARTS, 3), word(SEC_STARTS, 39)),
+        (word(SEC_ENDS, 10), word(SEC_ENDS, 30)),
+        (word(SEC_STARTS, 5), word(SEC_ENDS, 5)),
+        (word(SEC_BLOB, 0), word(SEC_BLOB, 7)),
+        (word(SEC_ENDS, 2), word(SEC_BLOB, 20)),
+    ];
+    for (a, b) in pairs {
+        let mut q = p.clone();
+        q[a + 7] ^= 0x80;
+        q[b + 7] ^= 0x80;
+        match load_bytes(&q) {
+            Err(PackError::Format(m)) => {
+                assert!(m.contains("body digest mismatch"), "words at {a}, {b}: {m}")
+            }
+            other => panic!("words at {a}, {b}: {other:?}"),
+        }
+    }
+}
+
+/// Two digit edits, each in the top byte of a different 8-byte word of
+/// CSV text, always change the source digest: 20k seeded pairs. A
+/// multiply-only word fold keeps such differences in its top byte, where
+/// two of them cancel about once in 227 pairs.
+#[test]
+fn paired_top_byte_digit_edits_change_the_source_digest() {
+    let mut text = String::from("cluster,0,c0,64\n");
+    for i in 0..64u32 {
+        text.push_str(&format!(
+            "task,t{i},work,{}.{},{}.5,0:{}\n",
+            i * 37 % 1000,
+            i % 10,
+            i * 37 % 1000 + 12,
+            i % 64
+        ));
+    }
+    let text = text.into_bytes();
+    let base = source_digest(&text);
+    // Word indices whose byte 7 is a digit.
+    let slots: Vec<usize> = (0..text.len() / 8)
+        .filter(|w| text[8 * w + 7].is_ascii_digit())
+        .collect();
+    assert!(slots.len() > 100, "{} digit slots", slots.len());
+    let mut x = 0x9e37_79b9_7f4a_7c15u64;
+    let mut next = move || {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        x
+    };
+    let mut edited = text.clone();
+    for _ in 0..20_000 {
+        let i = slots[next() as usize % slots.len()];
+        let j = loop {
+            let j = slots[next() as usize % slots.len()];
+            if j != i {
+                break j;
+            }
+        };
+        for w in [i, j] {
+            let at = 8 * w + 7;
+            let d = text[at] - b'0';
+            edited[at] = b'0' + (d + 1 + (next() % 9) as u8) % 10;
+        }
+        assert_ne!(source_digest(&edited), base, "words {i} and {j}");
+        for w in [i, j] {
+            edited[8 * w + 7] = text[8 * w + 7];
+        }
+    }
 }
 
 #[test]

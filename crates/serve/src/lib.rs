@@ -1017,9 +1017,10 @@ fn digest_for(state: &State, path: &Path) -> Result<(u64, Option<String>), Respo
 /// Probes the input's `.jpack` sidecar on a prepared-cache miss.
 /// `Some` only for a well-formed pack whose stored source digest
 /// matches the current content digest. A stale sidecar (the input
-/// changed since it was packed) is skipped silently; a corrupt one is
-/// skipped too — the server only ever *reads* sidecars, so rebuilding
-/// is the operator's move (`jedule pack`). Every outcome is counted.
+/// changed since it was packed, or another format version) is skipped
+/// silently; a corrupt one is skipped too — the server only ever
+/// *reads* sidecars, so rebuilding is the operator's move (`jedule
+/// pack`). Every outcome is counted.
 fn load_pack_sidecar(
     state: &State,
     path: &Path,

@@ -48,10 +48,11 @@ thread_local! {
 /// Identity of one cached shard of one figure.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct TileKey {
-    /// FNV-1a 64 of the input bytes.
+    /// Content digest of the input bytes ([`source_digest`], XXH64).
     pub digest: u64,
-    /// FNV-1a 64 of the canonical `width × time-window` view string —
-    /// distinct views never share tiles (layout scales to the window).
+    /// [`source_digest`] of the canonical `width × time-window` view
+    /// string — distinct views never share tiles (layout scales to the
+    /// window).
     pub window_bucket: u64,
     /// Shard index: pixel row-band for rasters, primitive range for SVG.
     pub row_band: u32,

@@ -306,20 +306,13 @@ fn inputs_outside_the_root_are_rejected() {
 }
 
 /// No `catch_unwind` can catch a stack overflow, so a reader that recursed
-/// per nesting level would take the whole server down on a `.jed` nested
-/// 200k levels deep. It must be a client error, and the server must keep
-/// answering.
-#[test]
-fn deeply_nested_xml_is_a_client_error_and_the_server_survives() {
-    let (server, root, _csv) = start("deepxml");
-    let depth = 200_000;
-    let deep = format!(
-        "<jedule>{}{}</jedule>",
-        "<a>".repeat(depth),
-        "</a>".repeat(depth)
-    );
-    std::fs::write(root.join("deep.jed"), deep).unwrap();
-    let reply = get(server.addr(), "/render?file=deep.jed");
+/// per nesting level would take the whole server down on a `.jed` or a
+/// `.jsonl` nested 200k levels deep. Each must be a client error, and the
+/// server must keep answering.
+fn deep_input_is_a_client_error(name: &str, file: &str, contents: String) {
+    let (server, root, _csv) = start(name);
+    std::fs::write(root.join(file), contents).unwrap();
+    let reply = get(server.addr(), &format!("/render?file={file}"));
     assert!(
         (400..500).contains(&reply.status),
         "status {}: {}",
@@ -330,6 +323,24 @@ fn deeply_nested_xml_is_a_client_error_and_the_server_survives() {
     assert_eq!(get(server.addr(), "/healthz").status, 200);
     assert_eq!(get(server.addr(), "/render?file=sched.csv").status, 200);
     server.shutdown().unwrap();
+}
+
+#[test]
+fn deeply_nested_xml_is_a_client_error_and_the_server_survives() {
+    let depth = 200_000;
+    let deep = format!(
+        "<jedule>{}{}</jedule>",
+        "<a>".repeat(depth),
+        "</a>".repeat(depth)
+    );
+    deep_input_is_a_client_error("deepxml", "deep.jed", deep);
+}
+
+#[test]
+fn deeply_nested_jsonl_is_a_client_error_and_the_server_survives() {
+    let depth = 200_000;
+    let deep = format!("{}{}\n", "[".repeat(depth), "]".repeat(depth));
+    deep_input_is_a_client_error("deepjsonl", "deep.jsonl", deep);
 }
 
 #[test]
@@ -504,6 +515,32 @@ fn stale_sidecar_is_silently_ignored() {
     );
     assert_eq!(
         reg.counter_value("jedule_pack_sidecar_total", &[("result", "hit")]),
+        0
+    );
+    server.shutdown().unwrap();
+}
+
+/// A sidecar of an older format version is stale, not corrupt, even when
+/// its stored source digest matches the input.
+#[test]
+fn older_version_sidecar_counts_as_stale() {
+    let (server, root, csv) = start("sidecar_oldver");
+    write_sidecar(&root, &csv, csv.as_bytes());
+    let path = root.join("sched.csv.jpack");
+    let mut pack = std::fs::read(&path).unwrap();
+    let old = jedule_core::snap::PACK_VERSION - 1;
+    pack[8..12].copy_from_slice(&old.to_le_bytes());
+    std::fs::write(&path, &pack).unwrap();
+    let first = get(server.addr(), "/render?file=sched.csv");
+    assert_eq!(first.status, 200);
+    assert_eq!(first.body, cold_reference(&root, &csv));
+    let reg = server.registry();
+    assert_eq!(
+        reg.counter_value("jedule_pack_sidecar_total", &[("result", "stale")]),
+        1
+    );
+    assert_eq!(
+        reg.counter_value("jedule_pack_sidecar_total", &[("result", "error")]),
         0
     );
     server.shutdown().unwrap();

@@ -2,9 +2,13 @@
 //!
 //! Used by the JSON-lines schedule format (`jsonl`) and by the CLI's stats
 //! output. Supports the full JSON grammar except that numbers are always
-//! represented as `f64`.
+//! represented as `f64`. Arrays and objects nest at most
+//! [`xml::MAX_DEPTH`](crate::xml::MAX_DEPTH) levels deep, the XML
+//! readers' cap, so a hostile document is a positioned error, never a
+//! stack overflow.
 
 use crate::error::{IoError, Pos};
+use crate::xml::MAX_DEPTH;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -132,6 +136,7 @@ pub fn parse(src: &str) -> Result<Json, IoError> {
         i: 0,
         line: 1,
         col: 1,
+        depth: 0,
     };
     p.ws();
     let v = p.value()?;
@@ -147,6 +152,8 @@ struct P<'a> {
     i: usize,
     line: u32,
     col: u32,
+    /// Arrays and objects open around the cursor.
+    depth: usize,
 }
 
 impl<'a> P<'a> {
@@ -196,8 +203,22 @@ impl<'a> P<'a> {
             Some(b't') => self.lit("true", Json::Bool(true)),
             Some(b'f') => self.lit("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(c @ (b'[' | b'{')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(IoError::xml(
+                        format!("JSON nested deeper than {MAX_DEPTH} levels"),
+                        self.pos(),
+                    ));
+                }
+                self.depth += 1;
+                let v = if c == b'[' {
+                    self.array()
+                } else {
+                    self.object()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             _ => Err(IoError::xml("expected a JSON value", self.pos())),
         }
@@ -418,6 +439,28 @@ mod tests {
             "{a:1}",
         ] {
             assert!(parse(bad).is_err(), "{bad:?} should fail");
+        }
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_depth() {
+        let nested = |d: usize| format!("{}{}", "[".repeat(d), "]".repeat(d));
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        let objects = format!("{}1{}", "{\"k\":".repeat(MAX_DEPTH), "}".repeat(MAX_DEPTH));
+        assert!(parse(&objects).is_ok());
+        // The error points at the bracket that opens level MAX_DEPTH + 1.
+        let col = MAX_DEPTH as u32 + 1;
+        for (deep, col) in [
+            (nested(MAX_DEPTH + 1), col),
+            (format!("{{\"k\":{}}}", nested(MAX_DEPTH)), col + 4),
+        ] {
+            match parse(&deep) {
+                Err(IoError::Xml { msg, pos }) => {
+                    assert!(msg.contains("nested deeper"), "{msg}");
+                    assert_eq!((pos.line, pos.col), (1, col));
+                }
+                other => panic!("{other:?}"),
+            }
         }
     }
 

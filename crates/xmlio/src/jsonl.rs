@@ -15,6 +15,7 @@
 use crate::error::IoError;
 use crate::ingest::{self, Record};
 use crate::json::{obj, parse, Json};
+use crate::xml::MAX_DEPTH;
 use jedule_core::{Allocation, HostRange, HostSet, Schedule, Task};
 
 fn field_str<'a>(v: &'a Json, key: &str, line: usize) -> Result<&'a str, IoError> {
@@ -162,11 +163,11 @@ mod fast {
                     "type" => set(&mut kind, p.string()?)?,
                     "name" => match p.peek()? {
                         b'"' => set(&mut name, p.string()?)?,
-                        _ => p.skip_value()?, // non-string: generic treats as absent
+                        _ => p.skip_value(1)?, // non-string: generic treats as absent
                     },
                     "value" => set(&mut value, p.string()?)?,
                     "hosts" => match p.peek()? {
-                        b'"' | b'[' | b'{' => p.skip_value()?, // not the cluster count
+                        b'"' | b'[' | b'{' => p.skip_value(1)?, // not the cluster count
                         _ => set(&mut hosts_num, p.number()?)?,
                     },
                     "start" => set(&mut start, p.number()?)?,
@@ -184,10 +185,10 @@ mod fast {
                         saw_attrs = true;
                         match p.peek()? {
                             b'{' => p.attrs(&mut attrs)?,
-                            _ => p.skip_value()?, // non-object: generic ignores it
+                            _ => p.skip_value(1)?, // non-object: generic ignores it
                         }
                     }
-                    _ => p.skip_value()?, // unknown fields are allowed and ignored
+                    _ => p.skip_value(1)?, // unknown fields are allowed and ignored
                 }
                 if p.eat(b',') {
                     continue;
@@ -357,7 +358,7 @@ mod fast {
                                 }
                                 hosts = Some(self.host_ranges()?);
                             }
-                            _ => self.skip_value()?,
+                            _ => self.skip_value(3)?,
                         }
                         if self.eat(b',') {
                             continue;
@@ -437,7 +438,7 @@ mod fast {
                         None => out.push((key, val)),
                     }
                 } else {
-                    self.skip_value()?;
+                    self.skip_value(2)?;
                 }
                 if self.eat(b',') {
                     continue;
@@ -449,11 +450,16 @@ mod fast {
             }
         }
 
-        /// Skips one value of the recognized subset; bails on anything
-        /// the generic parser might still reject (escaped strings, bad
-        /// literals) so validation always happens somewhere.
-        fn skip_value(&mut self) -> Option<()> {
-            match self.peek()? {
+        /// Skips one value of the recognized subset, nested inside
+        /// `depth` arrays and objects; bails on anything the generic
+        /// parser might still reject (escaped strings, bad literals,
+        /// nesting past its cap) so validation always happens somewhere.
+        fn skip_value(&mut self, depth: usize) -> Option<()> {
+            let c = self.peek()?;
+            if matches!(c, b'[' | b'{') && depth >= MAX_DEPTH {
+                return None;
+            }
+            match c {
                 b'"' => self.string().map(|_| ()),
                 b'[' => {
                     self.i += 1;
@@ -461,7 +467,7 @@ mod fast {
                         return Some(());
                     }
                     loop {
-                        self.skip_value()?;
+                        self.skip_value(depth + 1)?;
                         if self.eat(b',') {
                             continue;
                         }
@@ -481,7 +487,7 @@ mod fast {
                         if !self.eat(b':') {
                             return None;
                         }
-                        self.skip_value()?;
+                        self.skip_value(depth + 1)?;
                         if self.eat(b',') {
                             continue;
                         }
@@ -727,7 +733,13 @@ mod tests {
     /// asked about), so the error surface is exactly the generic one.
     #[test]
     fn fast_path_never_accepts_generic_errors() {
+        let deep = format!(
+            r#"{{"rec":"cluster","id":0,"hosts":4,"x":{}{}}}"#,
+            "[".repeat(MAX_DEPTH),
+            "]".repeat(MAX_DEPTH)
+        );
         let bad = [
+            deep.as_str(),
             r#"{"rec":"cluster","id":0}"#,
             r#"{"rec":"meta","name":"x"}"#,
             r#"{"rec":"task","id":"t","type":"x","start":0,"end":1}"#,

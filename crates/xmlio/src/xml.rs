@@ -119,7 +119,8 @@ pub(crate) fn missing_attr(element: &str, attr: &str) -> IoError {
 /// level deeper is a parse error at its `<`. Every Jedule, color-map, DAX
 /// and platform document is under ten levels deep. The cap keeps hostile
 /// input from growing the open-element stack without bound and keeps
-/// the recursive drop of an [`Element`] tree shallow.
+/// the recursive drop of an [`Element`] tree shallow. The recursive
+/// JSON parser caps array and object nesting at the same depth.
 pub const MAX_DEPTH: usize = 1024;
 
 /// One token of a document. Names and undecoded text borrow the source.
