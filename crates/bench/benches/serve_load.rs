@@ -141,9 +141,7 @@ fn start_server(jobs: usize, cache_cap: usize, tile_cache_cap: usize) -> (Server
         root: root.clone(),
         workers: 4,
         cache_cap,
-        body_cache_cap: None,
         tile_cache_cap,
-        trace_keep: 4,
         ..ServeConfig::default()
     })
     .expect("bind bench server")
@@ -287,6 +285,7 @@ fn main() {
         let schedule = jedule_serve::ingest::parse_schedule(
             std::str::from_utf8(&csv_bytes).expect("csv is utf-8"),
             &input,
+            1,
         )
         .expect("parse trace");
         let prep = jedule_core::PreparedSchedule::new(schedule);
@@ -302,9 +301,7 @@ fn main() {
         root: root.clone(),
         workers: 4,
         cache_cap: 4,
-        body_cache_cap: None,
         tile_cache_cap: 1_024,
-        trace_keep: 4,
         ..ServeConfig::default()
     })
     .expect("bind sidecar server")

@@ -2,6 +2,8 @@
 //! loading and digesting they share.
 
 use jedule_core::{obs, snap};
+use jedule_serve::ingest::parse_schedule;
+use std::path::Path;
 
 /// Iterates over raw arguments, separating flags from positionals.
 pub struct Args<'a> {
@@ -40,12 +42,9 @@ pub fn load_schedule(path: &str) -> Result<jedule_core::Schedule, String> {
 }
 
 /// Loads a schedule with format auto-detection and the workspace
-/// `threads` knob (`0` auto, `1` sequential, `n` workers) for the
-/// line-oriented formats' chunked parallel ingest. `.swf` workload
-/// traces are converted through the bird's-eye pipeline with cluster
-/// geometry taken from the trace header.
+/// `threads` knob (see [`parse_schedule`]).
 pub fn load_schedule_threads(path: &str, threads: usize) -> Result<jedule_core::Schedule, String> {
-    parse_schedule_src(path, &read_source(path)?, threads)
+    parse_schedule(&read_source(path)?, Path::new(path), threads)
 }
 
 /// Reads a schedule input's text.
@@ -66,21 +65,6 @@ pub fn digest_file(path: &str) -> Result<u64, String> {
 pub fn digest_source(src: &str) -> u64 {
     let _s = obs::span("ingest.digest");
     snap::source_digest(src.as_bytes())
-}
-
-/// Parses already-read source text with the same format auto-detection
-/// as [`load_schedule_threads`] — shared with the paths that digest the
-/// text they parse (`pack`, a sidecar miss).
-pub fn parse_schedule_src(
-    path: &str,
-    src: &str,
-    threads: usize,
-) -> Result<jedule_core::Schedule, String> {
-    let p = std::path::Path::new(path);
-    if p.extension().is_some_and(|e| e.eq_ignore_ascii_case("swf")) {
-        return swf_to_schedule(src, threads).map_err(|e| format!("{path}: {e}"));
-    }
-    jedule_xmlio::parse_any_parallel(src, Some(p), threads).map_err(|e| format!("{path}: {e}"))
 }
 
 /// Loads a schedule as a [`PreparedSchedule`](jedule_core::PreparedSchedule),
@@ -104,7 +88,7 @@ pub fn load_prepared_sidecar(
     path: &str,
     threads: usize,
 ) -> Result<jedule_core::PreparedSchedule<'static>, String> {
-    let sidecar = snap::sidecar_path(std::path::Path::new(path));
+    let sidecar = snap::sidecar_path(Path::new(path));
     if sidecar.exists() {
         match snap::load_if_fresh(&sidecar, digest_file(path)?) {
             Ok(Some(packed)) => return Ok(jedule_core::PreparedSchedule::from_pack(packed)),
@@ -114,34 +98,11 @@ pub fn load_prepared_sidecar(
     }
     let src = read_source(path)?;
     let digest = digest_source(&src);
-    let prep = jedule_core::PreparedSchedule::new(parse_schedule_src(path, &src, threads)?);
+    let prep = jedule_core::PreparedSchedule::new(parse_schedule(&src, Path::new(path), threads)?);
     if let Err(e) = snap::write_pack_file(&prep, digest, &sidecar) {
         eprintln!("jedule: cannot write sidecar {}: {e}", sidecar.display());
     }
     Ok(prep)
-}
-
-/// Converts an SWF workload trace into a renderable schedule. Node
-/// count comes from the `MaxNodes`/`MaxProcs` header, falling back to
-/// the widest job in the trace.
-fn swf_to_schedule(src: &str, threads: usize) -> Result<jedule_core::Schedule, String> {
-    let (header, jobs) =
-        jedule_workloads::parse_swf_parallel(src, threads).map_err(|e| e.to_string())?;
-    let total_nodes = header
-        .max_nodes
-        .or(header.max_procs)
-        .unwrap_or_else(|| jobs.iter().map(|j| j.procs).max().unwrap_or(1));
-    let opts = jedule_workloads::ConvertOptions {
-        cluster_name: header.computer.unwrap_or_else(|| "swf".to_string()),
-        total_nodes: total_nodes.max(1),
-        reserved: 0,
-        highlight_user: None,
-        task_attrs: false,
-    };
-    // Node assignment + task building dominate SWF ingest; give them
-    // their own span so `--timings` attributes the time.
-    let _s = obs::span("ingest.convert");
-    Ok(jedule_workloads::jobs_to_schedule(&jobs, &opts))
 }
 
 #[cfg(test)]

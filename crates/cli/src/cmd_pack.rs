@@ -3,9 +3,10 @@
 //! mmap-ready section file so later renders skip the parse + prepare
 //! cold path entirely (DESIGN.md §5f).
 
-use crate::args::{digest_file, digest_source, parse_schedule_src, read_source, Args};
+use crate::args::{digest_file, digest_source, read_source, Args};
 use crate::obs_cli::ObsSink;
 use jedule_core::{obs, snap, PreparedSchedule};
+use jedule_serve::ingest::parse_schedule;
 use std::path::{Path, PathBuf};
 
 pub fn run(argv: &[String]) -> Result<(), String> {
@@ -47,7 +48,7 @@ pub fn run(argv: &[String]) -> Result<(), String> {
         let _s = obs::span("ingest");
         let src = read_source(&input)?;
         let digest = digest_source(&src);
-        let prep = PreparedSchedule::new(parse_schedule_src(&input, &src, threads)?);
+        let prep = PreparedSchedule::new(parse_schedule(&src, Path::new(&input), threads)?);
         (prep, digest)
     };
     snap::write_pack_file(&prep, digest, &out_path)

@@ -19,11 +19,8 @@ pub fn run(argv: &[String]) -> Result<(), String> {
             "--addr" => config.addr = args.value(a)?.to_string(),
             "--root" => config.root = args.value(a)?.into(),
             "--cache-cap" => config.cache_cap = args.parse(a)?,
-            "--body-cache-cap" => config.body_cache_cap = Some(args.parse(a)?),
             "--tile-cache-cap" => config.tile_cache_cap = args.parse(a)?,
-            "--trace-keep" => config.trace_keep = args.parse(a)?,
             "--access-log" => config.access_log = Some(args.value(a)?.to_string()),
-            "--access-log-keep" => config.access_log_keep = args.parse(a)?,
             "--slow-ms" => config.slow_ms = Some(args.parse(a)?),
             "-j" | "--threads" => config.workers = args.parse(a)?,
             "--metrics-json" => metrics_out = Some(args.value(a)?.to_string()),

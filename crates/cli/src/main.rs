@@ -77,18 +77,15 @@ SERVE OPTIONS:
         --addr <host:port>  bind address (default 127.0.0.1:8017)
         --root <dir>        directory /render inputs are restricted to
                             (default .)
-        --cache-cap <n>     max cached prepared schedules, LRU
+        --cache-cap <n>     max cached prepared schedules, and max
+                            cached rendered bodies: one LRU of each
                             (default 64)
-        --body-cache-cap <n>  max cached rendered bodies, LRU
-                            (default: --cache-cap)
         --tile-cache-cap <n>  max cached render tiles shared across
                             views, LRU (default 1024, 0 disables)
-        --trace-keep <n>    request traces retained for
-                            /debug/trace/<id> (default 32)
         --access-log <file|->  stream one JSONL record per request
-                            (append; `-` for stdout)
-        --access-log-keep <n>  in-memory access records served by
-                            /debug/log (default 512)
+                            (append; `-` for stdout); /debug/log serves
+                            the last 512 and /debug/trace/<id> the
+                            last 32 requests either way
         --slow-ms <n>       pin traces of requests slower than <n> ms so
                             fast-request churn cannot evict them
     -j, --threads <n>       worker threads (0 = auto)

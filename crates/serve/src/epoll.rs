@@ -5,8 +5,8 @@
 //! Only what the event loop needs is bound: create an epoll instance,
 //! register/modify/remove interest, wait, and an eventfd the worker pool
 //! pokes to wake the loop when a response is ready. Everything here is
-//! Linux-only; [`crate::Server::run`] falls back to the threaded
-//! keep-alive loop elsewhere.
+//! Linux-only, and so is serving: [`crate::Server::bind`] fails
+//! elsewhere.
 
 #![cfg(target_os = "linux")]
 

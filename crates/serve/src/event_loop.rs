@@ -159,7 +159,7 @@ struct EventLoop {
     job_tx: mpsc::Sender<Job>,
     next_id: Arc<AtomicU64>,
     next_token: u64,
-    telemetry: Option<LoopTelemetry>,
+    telemetry: LoopTelemetry,
     /// Jobs sent to the pool but not yet picked up by a worker.
     queue_depth: Arc<AtomicI64>,
     /// Workers currently inside the handler.
@@ -175,7 +175,7 @@ pub fn run(
     shutdown: Arc<AtomicBool>,
     next_id: Arc<AtomicU64>,
     handler: Handler,
-    telemetry: Option<LoopTelemetry>,
+    telemetry: LoopTelemetry,
 ) -> Result<(), String> {
     let ep = Epoll::new().map_err(|e| format!("epoll_create1: {e}"))?;
     let wake = Arc::new(EventFd::new().map_err(|e| format!("eventfd: {e}"))?);
@@ -195,7 +195,7 @@ pub fn run(
         let done_tx = done_tx.clone();
         let wake = Arc::clone(&wake);
         let handler = Arc::clone(&handler);
-        let telemetry = telemetry.clone();
+        let registry = telemetry.registry.clone();
         let queue_depth = Arc::clone(&queue_depth);
         let busy_workers = Arc::clone(&busy_workers);
         joins.push(std::thread::spawn(move || loop {
@@ -205,23 +205,19 @@ pub fn run(
             };
             queue_depth.fetch_sub(1, Ordering::AcqRel);
             busy_workers.fetch_add(1, Ordering::AcqRel);
-            if let Some(t) = &telemetry {
-                t.registry.observe_with(
-                    "jedule_render_queue_wait_seconds",
-                    &[],
-                    &DISPATCH_BUCKETS_S,
-                    job.enqueued.elapsed().as_secs_f64(),
-                );
-            }
+            registry.observe_with(
+                "jedule_render_queue_wait_seconds",
+                &[],
+                &DISPATCH_BUCKETS_S,
+                job.enqueued.elapsed().as_secs_f64(),
+            );
             let job_start = Instant::now();
             let resp = handler(job.request_id, &job.req);
-            if let Some(t) = &telemetry {
-                t.registry.observe(
-                    "jedule_worker_job_seconds",
-                    &[],
-                    job_start.elapsed().as_secs_f64(),
-                );
-            }
+            registry.observe(
+                "jedule_worker_job_seconds",
+                &[],
+                job_start.elapsed().as_secs_f64(),
+            );
             busy_workers.fetch_sub(1, Ordering::AcqRel);
             let keep_alive = job.req.keep_alive;
             let done = Done {
@@ -317,15 +313,13 @@ impl EventLoop {
     /// the way out — the one funnel every close path goes through.
     fn close_conn(&mut self, token: u64) {
         if let Some(conn) = self.conns.remove(&token) {
-            if let Some(t) = &self.telemetry {
-                if conn.served > 0 {
-                    t.registry.observe_with(
-                        "jedule_connection_requests",
-                        &[],
-                        &REUSE_BUCKETS,
-                        conn.served as f64,
-                    );
-                }
+            if conn.served > 0 {
+                self.telemetry.registry.observe_with(
+                    "jedule_connection_requests",
+                    &[],
+                    &REUSE_BUCKETS,
+                    conn.served as f64,
+                );
             }
         }
     }
@@ -333,7 +327,6 @@ impl EventLoop {
     /// Publishes the connection-state census and queue-depth gauges,
     /// rate-limited to [`CENSUS_EVERY`].
     fn publish_census(&mut self) {
-        let Some(t) = &self.telemetry else { return };
         if self.last_census.elapsed() < CENSUS_EVERY {
             return;
         }
@@ -346,7 +339,7 @@ impl EventLoop {
                 Phase::Writing(_) => writing += 1,
             }
         }
-        let r = &t.registry;
+        let r = &self.telemetry.registry;
         r.gauge_set(
             "jedule_connections",
             &[("state", "reading")],
@@ -390,10 +383,11 @@ impl EventLoop {
                     {
                         continue;
                     }
-                    if let Some(t) = &self.telemetry {
-                        t.registry
-                            .counter_add("jedule_connections_accepted_total", &[], 1);
-                    }
+                    self.telemetry.registry.counter_add(
+                        "jedule_connections_accepted_total",
+                        &[],
+                        1,
+                    );
                     self.conns.insert(
                         token,
                         Conn {
@@ -533,21 +527,17 @@ impl EventLoop {
         conn.close_after = true;
         conn.served += 1;
         conn.phase = Phase::Writing(OutBuf::new(resp.encode_head(request_id, false), resp.body));
-        if let Some(t) = &self.telemetry {
-            (t.on_loop_response)(request_id, status, detail);
-        }
+        (self.telemetry.on_loop_response)(request_id, status, detail);
         self.advance_write(token);
     }
 
     fn on_done(&mut self, done: Done) {
-        if let Some(t) = &self.telemetry {
-            t.registry.observe_with(
-                "jedule_wake_dispatch_seconds",
-                &[],
-                &DISPATCH_BUCKETS_S,
-                done.finished.elapsed().as_secs_f64(),
-            );
-        }
+        self.telemetry.registry.observe_with(
+            "jedule_wake_dispatch_seconds",
+            &[],
+            &DISPATCH_BUCKETS_S,
+            done.finished.elapsed().as_secs_f64(),
+        );
         let Some(conn) = self.conns.get_mut(&done.token) else {
             return; // connection died while rendering
         };
@@ -609,13 +599,11 @@ impl EventLoop {
                     let _ = conn.stream.write_all(&resp.encode(id, false));
                     conn.served += 1;
                 }
-                if let Some(t) = &self.telemetry {
-                    (t.on_loop_response)(id, 408, "idle-timeout");
-                }
+                (self.telemetry.on_loop_response)(id, 408, "idle-timeout");
             }
-            if let Some(t) = &self.telemetry {
-                t.registry.counter_add("jedule_idle_closed_total", &[], 1);
-            }
+            self.telemetry
+                .registry
+                .counter_add("jedule_idle_closed_total", &[], 1);
             self.close_conn(token);
         }
     }
@@ -627,8 +615,26 @@ mod tests {
     use std::io::{BufRead, BufReader};
     use std::net::TcpStream;
 
+    type LoopErrors = Arc<Mutex<Vec<(u64, u16, &'static str)>>>;
+
+    /// Telemetry into a fresh registry, recording every loop-generated
+    /// response.
+    fn recording_telemetry() -> (LoopTelemetry, Registry, LoopErrors) {
+        let registry = Registry::new();
+        let loop_errors: LoopErrors = Arc::new(Mutex::new(Vec::new()));
+        let sink = Arc::clone(&loop_errors);
+        let telemetry = LoopTelemetry {
+            registry: registry.clone(),
+            on_loop_response: Arc::new(move |id, status, detail| {
+                sink.lock().unwrap().push((id, status, detail));
+            }),
+        };
+        (telemetry, registry, loop_errors)
+    }
+
     fn start(
         handler: Handler,
+        telemetry: LoopTelemetry,
     ) -> (
         std::net::SocketAddr,
         Arc<AtomicBool>,
@@ -646,7 +652,7 @@ mod tests {
                 flag,
                 Arc::new(AtomicU64::new(0)),
                 handler,
-                None,
+                telemetry,
             )
         });
         (addr, shutdown, join)
@@ -681,7 +687,7 @@ mod tests {
 
     #[test]
     fn keep_alive_serves_sequential_and_pipelined_requests() {
-        let (addr, shutdown, join) = start(echo_handler());
+        let (addr, shutdown, join) = start(echo_handler(), recording_telemetry().0);
         let stream = TcpStream::connect(addr).unwrap();
         let mut r = BufReader::new(stream.try_clone().unwrap());
         let mut w = stream;
@@ -710,7 +716,7 @@ mod tests {
 
     #[test]
     fn oversized_head_gets_400_and_close() {
-        let (addr, shutdown, join) = start(echo_handler());
+        let (addr, shutdown, join) = start(echo_handler(), recording_telemetry().0);
         let mut w = TcpStream::connect(addr).unwrap();
         w.write_all(b"GET / HTTP/1.1\r\n").unwrap();
         let filler = vec![b'x'; 64 * 1024];
@@ -723,32 +729,32 @@ mod tests {
     }
 
     #[test]
-    fn telemetry_counts_connections_and_loop_errors() {
-        let registry = Registry::new();
-        type LoopError = (u64, u16, &'static str);
-        let loop_errors: Arc<Mutex<Vec<LoopError>>> = Arc::new(Mutex::new(Vec::new()));
-        let sink = Arc::clone(&loop_errors);
-        let telemetry = LoopTelemetry {
-            registry: registry.clone(),
-            on_loop_response: Arc::new(move |id, status, detail| {
-                sink.lock().unwrap().push((id, status, detail));
-            }),
-        };
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        listener.set_nonblocking(true).unwrap();
-        let addr = listener.local_addr().unwrap();
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let flag = Arc::clone(&shutdown);
-        let join = std::thread::spawn(move || {
-            run(
-                listener,
-                2,
-                flag,
-                Arc::new(AtomicU64::new(0)),
-                echo_handler(),
-                Some(telemetry),
-            )
+    fn truncated_head_closes_without_a_response() {
+        let handled = Arc::new(AtomicU64::new(0));
+        let count = Arc::clone(&handled);
+        let handler: Handler = Arc::new(move |_id, _req| {
+            count.fetch_add(1, Ordering::SeqCst);
+            Response::text(200, "handled\n")
         });
+        let (telemetry, _registry, loop_errors) = recording_telemetry();
+        let (addr, shutdown, join) = start(handler, telemetry);
+        let mut stream = TcpStream::connect(addr).unwrap();
+        stream.write_all(b"GET /x HTTP/1.1\r\nHost").unwrap();
+        stream.shutdown(std::net::Shutdown::Write).unwrap();
+        // The loop closes without answering: EOF, not a single byte.
+        let mut got = Vec::new();
+        stream.read_to_end(&mut got).unwrap();
+        assert!(got.is_empty(), "{:?}", String::from_utf8_lossy(&got));
+        shutdown.store(true, Ordering::SeqCst);
+        join.join().unwrap().unwrap();
+        assert_eq!(handled.load(Ordering::SeqCst), 0, "handler never runs");
+        assert!(loop_errors.lock().unwrap().is_empty(), "no loop response");
+    }
+
+    #[test]
+    fn telemetry_counts_connections_and_loop_errors() {
+        let (telemetry, registry, loop_errors) = recording_telemetry();
+        let (addr, shutdown, join) = start(echo_handler(), telemetry);
 
         // One keep-alive connection serving two requests, then closing.
         let stream = TcpStream::connect(addr).unwrap();
@@ -823,7 +829,7 @@ mod tests {
             }
             Response::text(200, "drained\n")
         });
-        let (addr, shutdown, join) = start(handler);
+        let (addr, shutdown, join) = start(handler, recording_telemetry().0);
         let stream = TcpStream::connect(addr).unwrap();
         let mut w = stream.try_clone().unwrap();
         w.write_all(b"GET /slow HTTP/1.1\r\n\r\n").unwrap();

@@ -10,7 +10,6 @@
 //! rescans. Anything fancier (chunked bodies, TLS) is out of scope for
 //! an std-only sidecar service.
 
-use std::io::Read;
 use std::sync::Arc;
 
 /// Maximum accepted request-head size; larger heads get a 400. The cap
@@ -189,35 +188,6 @@ pub fn parse_query(raw: &str) -> Vec<(String, String)> {
         .collect()
 }
 
-/// Reads one request head from a blocking stream (the non-epoll
-/// fallback path and tests). `Ok(None)` means the peer closed before
-/// sending anything (a clean no-op); `Err` carries a human-readable
-/// parse failure for a 400 response. The head cap is enforced before
-/// reading past it.
-pub fn read_request(stream: &mut impl Read) -> Result<Option<Request>, String> {
-    let mut rb = RecvBuf::new();
-    let mut chunk = [0u8; 1024];
-    loop {
-        if let Some(head) = rb.take_head() {
-            return parse_head(&head).map(Some);
-        }
-        if rb.len() >= MAX_HEAD {
-            return Err("request head exceeds 16 KiB".to_string());
-        }
-        let want = chunk.len().min(MAX_HEAD - rb.len());
-        match stream.read(&mut chunk[..want]) {
-            Ok(0) => {
-                if rb.is_empty() {
-                    return Ok(None);
-                }
-                return Err("connection closed mid-head".to_string());
-            }
-            Ok(n) => rb.extend(&chunk[..n]),
-            Err(e) => return Err(format!("read error: {e}")),
-        }
-    }
-}
-
 fn decode(s: &str, plus_as_space: bool) -> String {
     let bytes = s.as_bytes();
     let mut out = Vec::with_capacity(bytes.len());
@@ -338,7 +308,7 @@ impl Response {
         head.into_bytes()
     }
 
-    /// Head plus body as one buffer (the blocking fallback path).
+    /// Head plus body as one buffer (the idle sweep's best-effort 408).
     pub fn encode(&self, request_id: u64, keep_alive: bool) -> Vec<u8> {
         let mut out = self.encode_head(request_id, keep_alive);
         out.extend_from_slice(&self.body);
@@ -517,27 +487,6 @@ mod tests {
         assert!(!rb.over_cap());
         rb.extend(&filler[..MAX_HEAD - rb.len()]);
         assert!(rb.over_cap());
-    }
-
-    #[test]
-    fn read_request_caps_before_overshooting() {
-        // A head that never terminates: read_request must stop at the
-        // cap, not buffer the whole 1 MiB.
-        let huge = vec![b'x'; 1024 * 1024];
-        let mut cursor = std::io::Cursor::new(huge);
-        let err = read_request(&mut cursor).unwrap_err();
-        assert!(err.contains("16 KiB"), "{err}");
-        assert!(cursor.position() <= MAX_HEAD as u64 + 1024);
-    }
-
-    #[test]
-    fn read_request_truncated_head_is_an_error() {
-        let mut cursor = std::io::Cursor::new(b"GET / HTTP/1.1\r\nHost".to_vec());
-        let err = read_request(&mut cursor).unwrap_err();
-        assert!(err.contains("mid-head"), "{err}");
-        // …while an immediately-closed connection is a clean no-op.
-        let mut empty = std::io::Cursor::new(Vec::new());
-        assert_eq!(read_request(&mut empty).unwrap(), None);
     }
 
     #[test]

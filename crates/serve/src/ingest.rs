@@ -1,32 +1,39 @@
-//! Input loading for the render service.
+//! Schedule ingest by file type — the one dispatcher behind the CLI
+//! commands and the render service.
 //!
-//! Mirrors the CLI's auto-detecting loader: `.swf` workload traces are
-//! converted through the bird's-eye pipeline (cluster geometry from the
-//! trace header), everything else goes through `parse_any`'s format
-//! sniffing. Parsing is pinned sequential — service concurrency comes
-//! from parallel requests, and a deterministic single-threaded parse
-//! keeps per-request span trees comparable across requests.
+//! `.swf` workload traces are converted through the bird's-eye pipeline
+//! (cluster geometry from the trace header), everything else goes
+//! through `parse_any`'s format sniffing. The service parses with
+//! `threads = 1`: its concurrency comes from parallel requests, and a
+//! deterministic single-threaded parse keeps per-request span trees
+//! comparable across requests.
 
 use jedule_core::{obs, Schedule};
 use std::path::Path;
 
-/// Parses already-read input bytes into a schedule. `path` only steers
-/// format detection (extension hints); the bytes are the source of
-/// truth, so the caller can digest them for cache keying first.
-pub fn parse_schedule(src: &str, path: &Path) -> Result<Schedule, String> {
-    let _s = obs::span("serve.ingest");
-    if path
+/// Parses already-read input text into a schedule. `path` only steers
+/// format detection (extension hints) and prefixes errors; the text is
+/// the source of truth, so the caller can digest it first. `threads`
+/// is the workspace knob (`0` auto, `1` sequential, `n` workers) for
+/// the line-oriented formats' chunked parallel ingest.
+pub fn parse_schedule(src: &str, path: &Path, threads: usize) -> Result<Schedule, String> {
+    let parsed = if path
         .extension()
         .is_some_and(|e| e.eq_ignore_ascii_case("swf"))
     {
-        return swf_to_schedule(src).map_err(|e| format!("{}: {e}", path.display()));
-    }
-    jedule_xmlio::parse_any_parallel(src, Some(path), 1)
-        .map_err(|e| format!("{}: {e}", path.display()))
+        swf_to_schedule(src, threads)
+    } else {
+        jedule_xmlio::parse_any_parallel(src, Some(path), threads).map_err(|e| e.to_string())
+    };
+    parsed.map_err(|e| format!("{}: {e}", path.display()))
 }
 
-fn swf_to_schedule(src: &str) -> Result<Schedule, String> {
-    let (header, jobs) = jedule_workloads::parse_swf(src).map_err(|e| e.to_string())?;
+/// Converts an SWF workload trace into a renderable schedule. Node
+/// count comes from the `MaxNodes`/`MaxProcs` header, falling back to
+/// the widest job in the trace.
+fn swf_to_schedule(src: &str, threads: usize) -> Result<Schedule, String> {
+    let (header, jobs) =
+        jedule_workloads::parse_swf_parallel(src, threads).map_err(|e| e.to_string())?;
     let total_nodes = header
         .max_nodes
         .or(header.max_procs)
@@ -38,7 +45,9 @@ fn swf_to_schedule(src: &str) -> Result<Schedule, String> {
         highlight_user: None,
         task_attrs: false,
     };
-    let _s = obs::span("serve.ingest.convert");
+    // Node assignment + task building dominate SWF ingest; give them
+    // their own span so `--timings` attributes the time.
+    let _s = obs::span("ingest.convert");
     Ok(jedule_workloads::jobs_to_schedule(&jobs, &opts))
 }
 
@@ -55,12 +64,12 @@ mod tests {
             .build()
             .unwrap();
         let csv = jedule_xmlio::write_schedule_csv(&s);
-        let parsed = parse_schedule(&csv, Path::new("x.csv")).unwrap();
+        let parsed = parse_schedule(&csv, Path::new("x.csv"), 1).unwrap();
         assert_eq!(parsed.tasks.len(), 1);
     }
 
     #[test]
     fn bad_input_is_an_error_not_a_panic() {
-        assert!(parse_schedule("not a schedule at all", Path::new("x.jed")).is_err());
+        assert!(parse_schedule("not a schedule at all", Path::new("x.jed"), 1).is_err());
     }
 }

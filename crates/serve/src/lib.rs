@@ -20,17 +20,19 @@
 //!   per-stage duration histograms aggregated from every request's
 //!   span tree;
 //! * `GET /debug/trace/<request-id>` — the Chrome trace-event JSON of
-//!   one of the last `trace_keep` requests (ids are echoed on every
-//!   response in `X-Jedule-Request-Id`), loadable in Perfetto.
+//!   one of the last 32 requests (ids are echoed on every response in
+//!   `X-Jedule-Request-Id`), loadable in Perfetto.
 //!
-//! On Linux the socket layer is the epoll event loop in
-//! [`event_loop`]: one thread multiplexes every connection
-//! (keep-alive, pipelining, idle sweep) and a worker pool only
-//! renders. Elsewhere a threaded keep-alive fallback serves one
-//! connection per worker. Shutdown is graceful either way:
+//! The socket layer is the epoll event loop in [`event_loop`]: one
+//! thread multiplexes every connection (keep-alive, pipelining, idle
+//! sweep) and a worker pool only renders. Shutdown is graceful:
 //! SIGTERM/SIGINT (or a programmatic flag) stops accepting, in-flight
 //! requests drain, workers join, and the CLI then flushes a final
-//! metrics snapshot.
+//! metrics snapshot. The loop needs epoll and eventfd, so serving is
+//! Linux-only: elsewhere the crate builds, but [`Server::bind`] fails.
+
+// Off Linux `Server::bind` fails, so nothing reaches the request path.
+#![cfg_attr(not(target_os = "linux"), allow(dead_code))]
 
 pub mod cache;
 #[cfg(target_os = "linux")]
@@ -68,27 +70,17 @@ pub struct ServeConfig {
     pub root: PathBuf,
     /// Render worker threads (0 = one per core, at least 4).
     pub workers: usize,
-    /// Maximum cached prepared schedules (LRU). Also the default for
-    /// the rendered-body cache when `body_cache_cap` is unset.
+    /// Maximum cached prepared schedules, and maximum cached rendered
+    /// bodies: two LRUs of this many entries each.
     pub cache_cap: usize,
-    /// Maximum cached rendered bodies (LRU); `None` follows
-    /// `cache_cap`. Bodies and prepared schedules have very different
-    /// footprints (an encoded PNG vs. a fully indexed million-task
-    /// trace), so deployments can size the two independently.
-    pub body_cache_cap: Option<usize>,
     /// Maximum cached figure shards in the tile cache (LRU). Sized in
     /// *tiles*, not figures — a window series cycling more views than
     /// `cache_cap` bodies stays warm here.
     pub tile_cache_cap: usize,
-    /// Retained per-request span trees for `/debug/trace/<id>`.
-    pub trace_keep: usize,
     /// Streams one JSONL access record per request to this path
     /// (`-` = stdout). `None` disables streaming; the in-memory ring
     /// behind `/debug/log` is always on.
     pub access_log: Option<String>,
-    /// Retained records in the in-memory access-log ring
-    /// (`/debug/log`).
-    pub access_log_keep: usize,
     /// Requests slower than this many milliseconds are flagged `slow`
     /// in the access log and their full span tree is pinned in the
     /// trace ring (only other slow requests can evict it).
@@ -102,21 +94,18 @@ impl Default for ServeConfig {
             root: PathBuf::from("."),
             workers: 0,
             cache_cap: 64,
-            body_cache_cap: None,
             tile_cache_cap: 1024,
-            trace_keep: 32,
             access_log: None,
-            access_log_keep: 512,
             slow_ms: None,
         }
     }
 }
 
-/// A cached rendered response body (shared — hits never copy).
-struct Body {
-    bytes: Arc<Vec<u8>>,
-    content_type: &'static str,
-}
+/// Retained per-request span trees for `/debug/trace/<id>`.
+const TRACE_KEEP: usize = 32;
+
+/// Retained records in the in-memory access-log ring (`/debug/log`).
+const ACCESS_LOG_KEEP: usize = 512;
 
 /// A stat-validated content digest: as long as `(mtime, len)` match
 /// the file on disk the digest is reused without re-reading, which is
@@ -132,7 +121,9 @@ struct State {
     registry: Registry,
     traces: TraceRing,
     prepared: LruCache<u64, PreparedSchedule<'static>>,
-    bodies: LruCache<(u64, String), Body>,
+    /// Finished response bodies keyed by (digest, option key); a hit
+    /// hands out the shared bytes without copying.
+    bodies: LruCache<(u64, String), Vec<u8>>,
     tiles: TileStore,
     digests: LruCache<PathBuf, FileDigest>,
     next_id: Arc<AtomicU64>,
@@ -160,8 +151,12 @@ pub struct Server {
 impl Server {
     /// Binds the listener and prepares shared state. The root directory
     /// must exist (it is canonicalized once here; per-request paths are
-    /// canonicalized against it to stop traversal escapes).
+    /// canonicalized against it to stop traversal escapes). Fails off
+    /// Linux, where the socket loop cannot run.
     pub fn bind(config: ServeConfig) -> Result<Server, String> {
+        if cfg!(not(target_os = "linux")) {
+            return Err("serve runs on Linux only: its socket loop needs epoll and eventfd".into());
+        }
         let root = config
             .root
             .canonicalize()
@@ -219,14 +214,14 @@ impl Server {
             state: Arc::new(State {
                 root,
                 registry,
-                traces: TraceRing::new(config.trace_keep),
+                traces: TraceRing::new(TRACE_KEEP),
                 prepared: LruCache::new(config.cache_cap),
-                bodies: LruCache::new(config.body_cache_cap.unwrap_or(config.cache_cap)),
+                bodies: LruCache::new(config.cache_cap),
                 tiles: TileStore::new(config.tile_cache_cap),
                 digests: LruCache::new(config.cache_cap.max(64)),
                 next_id: Arc::new(AtomicU64::new(0)),
                 started: Instant::now(),
-                access: AccessLog::new(config.access_log_keep),
+                access: AccessLog::new(ACCESS_LOG_KEEP),
                 access_sink,
                 slow_us: config.slow_ms.map(|ms| ms as f64 * 1e3),
             }),
@@ -252,8 +247,7 @@ impl Server {
 
     /// Serves until the shutdown flag is set, then drains: in-flight
     /// requests finish, workers join, and the method returns for the
-    /// caller's final flush. On Linux this is the epoll event loop;
-    /// elsewhere, a threaded keep-alive accept loop.
+    /// caller's final flush.
     pub fn run(self) -> Result<(), String> {
         #[cfg(target_os = "linux")]
         {
@@ -273,12 +267,12 @@ impl Server {
                 self.shutdown,
                 Arc::clone(&self.state.next_id),
                 handler,
-                Some(telemetry),
+                telemetry,
             )
         }
         #[cfg(not(target_os = "linux"))]
         {
-            run_threaded(self.listener, self.workers, self.shutdown, self.state)
+            unreachable!("Server::bind fails off Linux")
         }
     }
 
@@ -320,78 +314,6 @@ impl ServerHandle {
         self.join
             .join()
             .map_err(|_| "server thread panicked".to_string())?
-    }
-}
-
-/// The non-Linux fallback: a worker pool of blocking keep-alive
-/// connection loops behind a polling accept loop.
-#[cfg(not(target_os = "linux"))]
-fn run_threaded(
-    listener: TcpListener,
-    workers: usize,
-    shutdown: Arc<AtomicBool>,
-    state: Arc<State>,
-) -> Result<(), String> {
-    use std::sync::{mpsc, Mutex};
-    let (tx, rx) = mpsc::channel::<std::net::TcpStream>();
-    let rx = Arc::new(Mutex::new(rx));
-    let mut joins = Vec::with_capacity(workers);
-    for _ in 0..workers {
-        let rx = Arc::clone(&rx);
-        let state = Arc::clone(&state);
-        joins.push(std::thread::spawn(move || loop {
-            let next = rx.lock().unwrap().recv();
-            match next {
-                Ok(stream) => handle_connection(&state, stream),
-                Err(_) => break, // sender dropped: drained, shut down
-            }
-        }));
-    }
-    while !shutdown.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                if tx.send(stream).is_err() {
-                    break;
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(std::time::Duration::from_millis(5));
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(format!("accept: {e}")),
-        }
-    }
-    drop(tx);
-    for j in joins {
-        let _ = j.join();
-    }
-    Ok(())
-}
-
-/// Serves one blocking connection until the peer closes or opts out of
-/// keep-alive (the non-Linux path).
-#[cfg(not(target_os = "linux"))]
-fn handle_connection(state: &State, mut stream: std::net::TcpStream) {
-    use std::io::Write;
-    let _ = stream.set_read_timeout(Some(std::time::Duration::from_secs(10)));
-    let _ = stream.set_nodelay(true);
-    loop {
-        let req = match http::read_request(&mut stream) {
-            Ok(Some(r)) => r,
-            Ok(None) => return,
-            Err(e) => {
-                let id = state.next_id.fetch_add(1, Ordering::SeqCst) + 1;
-                let _ = stream.write_all(&Response::text(400, e + "\n").encode(id, false));
-                record_loop_response(state, id, 400, "head-parse");
-                return;
-            }
-        };
-        let id = state.next_id.fetch_add(1, Ordering::SeqCst) + 1;
-        let resp = handle_request(state, id, &req);
-        let keep_alive = req.keep_alive;
-        if stream.write_all(&resp.encode(id, keep_alive)).is_err() || !keep_alive {
-            return;
-        }
     }
 }
 
@@ -536,8 +458,7 @@ fn route_label(path: &str) -> &'static str {
 
 /// The worker-side request handler: routing wrapped in per-request
 /// instrumentation (span tree, counters, latency, trace retention).
-/// Socket IO happens elsewhere — the event loop on Linux, the
-/// connection loop otherwise.
+/// Socket IO happens in the event loop.
 fn handle_request(state: &State, request_id: u64, req: &Request) -> Response {
     state
         .registry
@@ -620,13 +541,6 @@ fn unix_ms_now() -> u64 {
         .unwrap_or(0)
 }
 
-/// Classifies a finished request for the access log. For 200 figure
-/// responses the categories partition exactly against the registry
-/// counters: `hit` ↔ `jedule_render_cache_hits_total`, `revalidated` ↔
-/// `jedule_render_not_modified_total`, and `miss` + `tile` ↔
-/// `jedule_render_cache_misses_total` (`tile` = the body was assembled
-/// with at least one warm shard). Errors are `error`; endpoints that
-/// produce no figure are `none`.
 /// The request line's target rebuilt from the decoded path and query —
 /// `Request` does not keep the raw form, and the access log wants the
 /// whole thing so `/debug/log?path=` can filter on inputs.
@@ -643,6 +557,13 @@ fn request_target(req: &Request) -> String {
     target
 }
 
+/// Classifies a finished request for the access log. For 200 figure
+/// responses the categories partition exactly against the registry
+/// counters: `hit` ↔ `jedule_render_cache_hits_total`, `revalidated` ↔
+/// `jedule_render_not_modified_total`, and `miss` + `tile` ↔
+/// `jedule_render_cache_misses_total` (`tile` = the body was assembled
+/// with at least one warm shard). Errors are `error`; endpoints that
+/// produce no figure are `none`.
 fn disposition(status: u16, report: &ObsReport) -> &'static str {
     if status >= 400 {
         "error"
@@ -746,18 +667,9 @@ fn route(state: &State, req: &Request) -> Response {
         "/metrics.json" => handle_metrics_json(state),
         "/debug/dash" => handle_dash(),
         "/debug/log" => handle_log(state, req),
-        "/render" => match handle_render(state, req) {
-            Ok(resp) => resp,
-            Err(resp) => resp,
-        },
-        "/explore" => match handle_explore(state, req) {
-            Ok(resp) => resp,
-            Err(resp) => resp,
-        },
-        "/meta" => match handle_meta(state, req) {
-            Ok(resp) => resp,
-            Err(resp) => resp,
-        },
+        "/render" => handle_figure(state, req, "render").unwrap_or_else(|e| e),
+        "/explore" => handle_explore(state, req).unwrap_or_else(|e| e),
+        "/meta" => handle_meta(state, req).unwrap_or_else(|e| e),
         p => match p.strip_prefix("/debug/trace/") {
             Some(id) => handle_trace(state, id),
             None => Response::text(404, "not found; see / for the route list\n"),
@@ -1088,8 +1000,11 @@ fn prepared_for(
                             })?
                         }
                     };
-                    let schedule = ingest::parse_schedule(&src, path)
-                        .map_err(|e| Response::text(400, e + "\n"))?;
+                    let schedule = {
+                        let _s = obs::span("serve.ingest");
+                        ingest::parse_schedule(&src, path, 1)
+                            .map_err(|e| Response::text(400, e + "\n"))?
+                    };
                     Ok(state
                         .prepared
                         .insert(digest, Arc::new(PreparedSchedule::new(schedule))))
@@ -1099,26 +1014,24 @@ fn prepared_for(
     }
 }
 
-/// The one figure pipeline behind `/render` and `/explore?tile=1`:
-/// digest → ETag revalidation → body cache → prepared schedule → tile
-/// assembly. Both endpoints call exactly this with the same canonical
-/// option key, so a tile fetched by the explorer is byte-identical to
-/// the `/render` response for the same (fmt, width, window, lod) — and
-/// warms the same caches.
-fn figure_response(
+/// The one cached-response pipeline behind `/render`,
+/// `/explore?tile=1` and `/meta`: digest → ETag revalidation → body
+/// cache → prepared schedule → `produce`. `produce` runs only on a
+/// body-cache miss; its bytes are cached under `(digest, opt_key)`.
+/// The figure endpoints pass the same canonical option key, so a tile
+/// fetched by the explorer is byte-identical to the `/render` response
+/// for the same (fmt, width, window, lod) — and warms the same caches.
+fn cached_response(
     state: &State,
     req: &Request,
     path: &Path,
-    opts: &jedule_render::RenderOptions,
     opt_key: &str,
+    content_type: &'static str,
+    produce: impl FnOnce(u64, &PreparedSchedule<'static>) -> Vec<u8>,
 ) -> Result<Response, Response> {
     // The span detail carries the canonical option key up to the
-    // access log (and times the whole figure pipeline as one stage).
+    // access log (and times the whole pipeline as one stage).
     let _fig = obs::span_with("serve.figure", || opt_key.to_string());
-    let content_type: &'static str = match opts.format {
-        jedule_render::OutputFormat::Png => "image/png",
-        _ => "image/svg+xml",
-    };
 
     let (digest, src) = digest_for(state, path)?;
     let etag = etag_for(digest, opt_key);
@@ -1135,17 +1048,16 @@ fn figure_response(
         return Ok(Response::not_modified(content_type, etag));
     }
 
-    // Exactly one of hits/misses per 200 render — the pair partitions
-    // the figure-producing 200 responses minus revalidations, even when
-    // concurrent misses race on the same key.
-    if let Some(body) = state.bodies.get(&(digest, opt_key.to_string())) {
+    // Exactly one of hits/misses per 200 response — the pair partitions
+    // the cached-pipeline 200 responses, even when concurrent misses
+    // race on the same key.
+    let key = (digest, opt_key.to_string());
+    if let Some(bytes) = state.bodies.get(&key) {
         state
             .registry
             .counter_add("jedule_render_cache_hits_total", &[], 1);
         obs::count("serve.body_cache_hit", 1);
-        return Ok(
-            Response::shared(200, body.content_type, Arc::clone(&body.bytes)).with_etag(etag),
-        );
+        return Ok(Response::shared(200, content_type, bytes).with_etag(etag));
     }
     state
         .registry
@@ -1153,30 +1065,10 @@ fn figure_response(
     obs::count("serve.body_cache_miss", 1);
 
     let prepared = prepared_for(state, path, digest, src)?;
-
-    // Body-cache miss ⇒ assemble from tiles. Warm shards skip layout
-    // (SVG: pure concatenation; PNG: concatenate pixels + sequential
-    // encode); only missing shards touch the scene, which is laid out
-    // at most once, lazily.
-    let (bytes, ct) = {
-        let _s = obs::span("serve.render");
-        state
-            .tiles
-            .render(&state.registry, digest, opts, opt_key, &mut |scratch| {
-                let _s = obs::span("render.layout");
-                jedule_render::layout_prepared_scratch(&prepared, opts, scratch)
-            })
-    };
-    obs::count("serve.bytes_rendered", bytes.len() as u64);
-    let bytes = Arc::new(bytes);
-    state.bodies.insert(
-        (digest, opt_key.to_string()),
-        Arc::new(Body {
-            bytes: Arc::clone(&bytes),
-            content_type: ct,
-        }),
-    );
-    Ok(Response::shared(200, ct, bytes).with_etag(etag))
+    let bytes = state
+        .bodies
+        .insert(key, Arc::new(produce(digest, &prepared)));
+    Ok(Response::shared(200, content_type, bytes).with_etag(etag))
 }
 
 /// Extracts the required `file` parameter and resolves it under the
@@ -1196,8 +1088,13 @@ fn resolve_file_param<'a>(
     Ok((file, path))
 }
 
-fn handle_render(state: &State, req: &Request) -> Result<Response, Response> {
-    let (_, path) = resolve_file_param(state, req, "render")?;
+/// `/render`, and `/explore?tile=1` with the same parameters: a figure
+/// through [`cached_response`]. A body-cache miss assembles it from
+/// tiles: warm shards skip layout (SVG: pure concatenation; PNG:
+/// concatenate pixels + sequential encode); only missing shards touch
+/// the scene, which is laid out at most once, lazily.
+fn handle_figure(state: &State, req: &Request, what: &str) -> Result<Response, Response> {
+    let (_, path) = resolve_file_param(state, req, what)?;
     let (opts, opt_key) = render_options_from_params(
         req.param("fmt"),
         req.param("width"),
@@ -1205,26 +1102,41 @@ fn handle_render(state: &State, req: &Request) -> Result<Response, Response> {
         req.param("lod"),
     )
     .map_err(|msg| Response::text(400, msg + "\n"))?;
-    figure_response(state, req, &path, &opts, &opt_key)
+    let content_type = match opts.format {
+        jedule_render::OutputFormat::Png => "image/png",
+        _ => "image/svg+xml",
+    };
+    cached_response(
+        state,
+        req,
+        &path,
+        &opt_key,
+        content_type,
+        |digest, prepared| {
+            let _s = obs::span("serve.render");
+            let bytes =
+                state
+                    .tiles
+                    .render(&state.registry, digest, &opts, &opt_key, &mut |scratch| {
+                        let _s = obs::span("render.layout");
+                        jedule_render::layout_prepared_scratch(prepared, &opts, scratch)
+                    });
+            obs::count("serve.bytes_rendered", bytes.len() as u64);
+            bytes
+        },
+    )
 }
 
 /// `/explore?file=F[&width=px]` — the interactive explorer. Without
 /// `tile`, responds with the shared HTML shell (same template as
 /// `--fmt html`, serve boot mode); with `&tile=1` plus the `/render`
-/// parameters it is a figure fetch through [`figure_response`] — same
+/// parameters it is a figure fetch through [`handle_figure`] — same
 /// caches, same ETags, byte-identical bodies.
 fn handle_explore(state: &State, req: &Request) -> Result<Response, Response> {
-    let (file, path) = resolve_file_param(state, req, "explore")?;
     if req.param("tile").is_some() {
-        let (opts, opt_key) = render_options_from_params(
-            req.param("fmt"),
-            req.param("width"),
-            req.param("window"),
-            req.param("lod"),
-        )
-        .map_err(|msg| Response::text(400, msg + "\n"))?;
-        return figure_response(state, req, &path, &opts, &opt_key);
+        return handle_figure(state, req, "explore");
     }
+    let (file, _) = resolve_file_param(state, req, "explore")?;
     let width = parse_width(req.param("width")).map_err(|msg| Response::text(400, msg + "\n"))?;
     let shell = jedule_render::html::explore_shell(file, width);
     Ok(Response::bytes(
@@ -1237,56 +1149,28 @@ fn handle_explore(state: &State, req: &Request) -> Result<Response, Response> {
 /// `/meta?file=F[&width=px]` — the figure-metadata JSON the explorer
 /// shell boots from: canvas + panel geometry at `width`, clusters,
 /// extents, task count, kind legend, and (small schedules) the task
-/// list for tooltips. Flows through the same digest/ETag/body-cache
-/// stack as figures, keyed `meta;w=<width>`.
+/// list for tooltips. Flows through [`cached_response`] like a figure,
+/// keyed `meta;w=<width>`.
 fn handle_meta(state: &State, req: &Request) -> Result<Response, Response> {
     let (_, path) = resolve_file_param(state, req, "meta")?;
     let width = parse_width(req.param("width")).map_err(|msg| Response::text(400, msg + "\n"))?;
-    let opt_key = format!("meta;w={width}");
-    let _fig = obs::span_with("serve.figure", || opt_key.clone());
-
-    let (digest, src) = digest_for(state, &path)?;
-    let etag = etag_for(digest, &opt_key);
-    if req.if_none_match(&etag) {
-        state
-            .registry
-            .counter_add("jedule_render_not_modified_total", &[], 1);
-        obs::count("serve.not_modified", 1);
-        return Ok(Response::not_modified("application/json", etag));
-    }
-    if let Some(body) = state.bodies.get(&(digest, opt_key.clone())) {
-        state
-            .registry
-            .counter_add("jedule_render_cache_hits_total", &[], 1);
-        obs::count("serve.body_cache_hit", 1);
-        return Ok(
-            Response::shared(200, body.content_type, Arc::clone(&body.bytes)).with_etag(etag),
-        );
-    }
-    state
-        .registry
-        .counter_add("jedule_render_cache_misses_total", &[], 1);
-    obs::count("serve.body_cache_miss", 1);
-
-    let prepared = prepared_for(state, &path, digest, src)?;
     let opts = jedule_render::RenderOptions {
         width,
         threads: 1,
         ..jedule_render::RenderOptions::default()
     };
-    let json = {
-        let _s = obs::span("serve.meta_encode");
-        jedule_render::html::meta_json(&prepared, &opts)
-    };
-    let bytes = Arc::new(json.into_bytes());
-    state.bodies.insert(
-        (digest, opt_key),
-        Arc::new(Body {
-            bytes: Arc::clone(&bytes),
-            content_type: "application/json",
-        }),
-    );
-    Ok(Response::shared(200, "application/json", bytes).with_etag(etag))
+    let opt_key = format!("meta;w={width}");
+    cached_response(
+        state,
+        req,
+        &path,
+        &opt_key,
+        "application/json",
+        |_, prepared| {
+            let _s = obs::span("serve.meta_encode");
+            jedule_render::html::meta_json(prepared, &opts).into_bytes()
+        },
+    )
 }
 
 #[cfg(test)]

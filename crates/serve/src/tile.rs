@@ -72,12 +72,7 @@ pub fn window_bucket(width: f64, window: Option<(f64, f64)>) -> u64 {
 }
 
 /// What assembly needs to know about a figure without its scene.
-pub struct RenderPlan {
-    pub content_type: &'static str,
-    pub kind: PlanKind,
-}
-
-pub enum PlanKind {
+pub enum RenderPlan {
     Svg {
         /// The document prologue ([`svg::svg_header`]).
         header: String,
@@ -120,8 +115,7 @@ impl TileStore {
     /// all-warm path never lays out. The closure receives this worker
     /// thread's reusable [`LayoutScratch`] so misses can run the
     /// zero-churn `layout_prepared_scratch` path. Returns the exact
-    /// bytes a cold sequential whole-figure render would produce, plus
-    /// the content type.
+    /// bytes a cold sequential whole-figure render would produce.
     pub fn render(
         &self,
         registry: &Registry,
@@ -129,7 +123,7 @@ impl TileStore {
         opts: &RenderOptions,
         opt_key: &str,
         make_scene: &mut dyn FnMut(&mut LayoutScratch) -> Scene,
-    ) -> (Vec<u8>, &'static str) {
+    ) -> Vec<u8> {
         let fmt_code: u8 = match opts.format {
             OutputFormat::Png => 1,
             _ => 0,
@@ -151,19 +145,13 @@ impl TileStore {
                 registry.counter_add("jedule_plan_cache_misses_total", &[], 1);
                 let s = scene_memo.get_or_insert_with(&mut build);
                 let plan = match opts.format {
-                    OutputFormat::Png => RenderPlan {
-                        content_type: "image/png",
-                        kind: PlanKind::Raster {
-                            width: s.width.round().max(1.0) as usize,
-                            height: s.height.round().max(1.0) as usize,
-                        },
+                    OutputFormat::Png => RenderPlan::Raster {
+                        width: s.width.round().max(1.0) as usize,
+                        height: s.height.round().max(1.0) as usize,
                     },
-                    _ => RenderPlan {
-                        content_type: "image/svg+xml",
-                        kind: PlanKind::Svg {
-                            header: svg::svg_header(s),
-                            prims: s.len(),
-                        },
+                    _ => RenderPlan::Svg {
+                        header: svg::svg_header(s),
+                        prims: s.len(),
                     },
                 };
                 self.plans.insert(plan_key, Arc::new(plan))
@@ -177,8 +165,8 @@ impl TileStore {
             lod: lod_code,
             fmt: fmt_code,
         };
-        let bytes = match &plan.kind {
-            PlanKind::Svg { header, prims } => {
+        match &*plan {
+            RenderPlan::Svg { header, prims } => {
                 let mut out = Vec::with_capacity(header.len() + prims * 64);
                 out.extend_from_slice(header.as_bytes());
                 for (band, (a, b)) in rtile::svg_ranges(*prims).into_iter().enumerate() {
@@ -191,7 +179,7 @@ impl TileStore {
                 out.extend_from_slice(svg::SVG_FOOTER.as_bytes());
                 out
             }
-            PlanKind::Raster { width, height } => {
+            RenderPlan::Raster { width, height } => {
                 let mut bands = Vec::new();
                 for (band, (r0, r1)) in rtile::raster_bands(*height).into_iter().enumerate() {
                     bands.push(self.tile(registry, fmt_label, key(band as u32), || {
@@ -202,8 +190,7 @@ impl TileStore {
                 let shared: Vec<&[u8]> = bands.iter().map(|b| b.as_slice()).collect();
                 rtile::png_from_row_tiles(*width, *height, &shared)
             }
-        };
-        (bytes, plan.content_type)
+        }
     }
 
     /// One tile lookup: exactly one of hit/miss fires per call.
@@ -271,7 +258,7 @@ mod tests {
         let want = svg::to_svg(&scene()).into_bytes();
         for pass in 0..2 {
             let mut calls = 0;
-            let (got, ct) = store.render(
+            let got = store.render(
                 &reg,
                 1,
                 &opts(OutputFormat::Svg),
@@ -282,7 +269,6 @@ mod tests {
                 },
             );
             assert_eq!(got, want, "pass {pass}");
-            assert_eq!(ct, "image/svg+xml");
             // Cold pass lays out once; warm pass not at all.
             assert_eq!(calls, if pass == 0 { 1 } else { 0 });
         }
@@ -298,7 +284,7 @@ mod tests {
         let canvas = jedule_render::raster::rasterize(&s);
         let want = jedule_render::png::encode(&canvas);
         for _ in 0..2 {
-            let (got, ct) = store.render(
+            let got = store.render(
                 &reg,
                 2,
                 &opts(OutputFormat::Png),
@@ -306,7 +292,6 @@ mod tests {
                 &mut |_: &mut LayoutScratch| scene(),
             );
             assert_eq!(got, want);
-            assert_eq!(ct, "image/png");
         }
         // 90 rows → 2 bands; second pass all-warm.
         assert_eq!(reg.counter_total("jedule_tile_cache_misses_total"), 2);

@@ -39,9 +39,7 @@ fn start_with(tag: &str, tweak: impl FnOnce(&mut ServeConfig)) -> (ServerHandle,
         root: root.clone(),
         workers: 4,
         cache_cap: 16,
-        body_cache_cap: None,
         tile_cache_cap: 256,
-        trace_keep: 8,
         ..ServeConfig::default()
     };
     tweak(&mut config);
@@ -171,7 +169,7 @@ fn render_bytes_match_cold_render_and_cache_hits() {
 
     // The service body must equal a cold, single-threaded render of the
     // same input with the same canonical options.
-    let schedule = jedule_serve::ingest::parse_schedule(&csv, &root.join("sched.csv")).unwrap();
+    let schedule = jedule_serve::ingest::parse_schedule(&csv, &root.join("sched.csv"), 1).unwrap();
     let (opts, _key) = render_options_from_params(None, None, None, None).unwrap();
     let cold = jedule_render::render(&schedule, &opts);
     assert_eq!(first.body, cold);
@@ -198,7 +196,7 @@ fn windowed_png_render_matches_cold_render() {
     assert_eq!(reply.header("Content-Type"), Some("image/png"));
     assert_eq!(&reply.body[..8], b"\x89PNG\r\n\x1a\n");
 
-    let schedule = jedule_serve::ingest::parse_schedule(&csv, &root.join("sched.csv")).unwrap();
+    let schedule = jedule_serve::ingest::parse_schedule(&csv, &root.join("sched.csv"), 1).unwrap();
     let (opts, _) =
         render_options_from_params(Some("png"), Some("400"), Some("1:5"), Some("off")).unwrap();
     assert_eq!(reply.body, jedule_render::render(&schedule, &opts));
@@ -223,7 +221,7 @@ fn concurrent_renders_are_identical_and_counters_partition() {
             })
             .collect()
     });
-    let schedule = jedule_serve::ingest::parse_schedule(&csv, &root.join("sched.csv")).unwrap();
+    let schedule = jedule_serve::ingest::parse_schedule(&csv, &root.join("sched.csv"), 1).unwrap();
     let (opts, _) = render_options_from_params(None, Some("500"), None, None).unwrap();
     let cold = jedule_render::render(&schedule, &opts);
     for body in &bodies {
@@ -462,7 +460,7 @@ fn tile_counters_partition_lookups_exactly() {
 fn write_sidecar(root: &std::path::Path, csv: &str, stamp: &[u8]) {
     use jedule_core::snap;
     let input = root.join("sched.csv");
-    let schedule = jedule_serve::ingest::parse_schedule(csv, &input).unwrap();
+    let schedule = jedule_serve::ingest::parse_schedule(csv, &input, 1).unwrap();
     let prep = jedule_core::PreparedSchedule::new(schedule);
     snap::write_pack_file(
         &prep,
@@ -474,7 +472,7 @@ fn write_sidecar(root: &std::path::Path, csv: &str, stamp: &[u8]) {
 
 /// The cold-render reference bytes for the canonical options.
 fn cold_reference(root: &std::path::Path, csv: &str) -> Vec<u8> {
-    let schedule = jedule_serve::ingest::parse_schedule(csv, &root.join("sched.csv")).unwrap();
+    let schedule = jedule_serve::ingest::parse_schedule(csv, &root.join("sched.csv"), 1).unwrap();
     let (opts, _key) = render_options_from_params(None, None, None, None).unwrap();
     jedule_render::render(&schedule, &opts)
 }
@@ -562,12 +560,13 @@ fn corrupt_sidecar_is_skipped_with_an_error_count() {
 }
 
 #[test]
-fn body_cache_cap_sizes_the_body_cache_independently() {
-    let (server, _root, _csv) = start_with("bodycap", |c| c.body_cache_cap = Some(1));
+fn one_slot_cache_cap_evicts_bodies_but_keeps_the_prepared_schedule() {
+    let (server, _root, _csv) = start_with("bodycap", |c| c.cache_cap = 1);
     let addr = server.addr();
     // Two distinct render keys alternating through a one-slot body
-    // cache evict each other every time; the prepared schedule (cap 16)
-    // is parsed exactly once.
+    // cache evict each other every time; the one input's prepared
+    // schedule fills the one-slot prepared cache and is parsed exactly
+    // once.
     for _ in 0..2 {
         assert_eq!(get(addr, "/render?file=sched.csv").status, 200);
         assert_eq!(get(addr, "/render?file=sched.csv&window=0:4").status, 200);
@@ -635,6 +634,22 @@ fn explore_shell_and_meta_endpoints() {
     assert!(json.contains("\"panels\""));
     assert!(json.contains("\"kinds\""));
 
+    // A second fetch is a body-cache hit: same bytes, same validator,
+    // one more render-cache hit, logged as a hit.
+    let reg = server.registry();
+    let hits_before = reg.counter_value("jedule_render_cache_hits_total", &[]);
+    let again = get(addr, "/meta?file=sched.csv&width=640");
+    assert_eq!(again.status, 200);
+    assert_eq!(again.body, json.as_bytes());
+    assert_eq!(again.header("ETag"), Some(etag.as_str()));
+    assert_eq!(
+        reg.counter_value("jedule_render_cache_hits_total", &[]),
+        hits_before + 1
+    );
+    let log = get(addr, "/debug/log?n=1&path=/meta");
+    let record = String::from_utf8(log.body).unwrap();
+    assert!(record.contains("\"cache\":\"hit\""), "{record}");
+
     // Revalidation works exactly like /render.
     let mut stream = TcpStream::connect(addr).unwrap();
     write!(
@@ -684,7 +699,7 @@ fn explore_pan_sequence_hits_the_tile_store() {
     // A one-slot body cache forces the A→B→A pan sequence to re-render
     // window A, which must be served (at least partly) from the tile
     // store rather than rasterized from scratch.
-    let (server, _root, _csv) = start_with("explorepan", |c| c.body_cache_cap = Some(1));
+    let (server, _root, _csv) = start_with("explorepan", |c| c.cache_cap = 1);
     let addr = server.addr();
     let win_a = "/explore?file=sched.csv&tile=1&fmt=svg&width=640&window=0:4";
     let win_b = "/explore?file=sched.csv&tile=1&fmt=svg&width=640&window=2:6";
@@ -824,7 +839,7 @@ fn debug_log_tails_newest_first_with_filters() {
 fn access_dispositions_partition_and_match_counters() {
     // A one-slot body cache so a pan A→B→A re-renders window A from the
     // tile store — exercising the `tile` disposition alongside the rest.
-    let (server, _root, _csv) = start_with("dispo", |c| c.body_cache_cap = Some(1));
+    let (server, _root, _csv) = start_with("dispo", |c| c.cache_cap = 1);
     let addr = server.addr();
     let win_a = "/render?file=sched.csv&width=640&window=0:4";
     let win_b = "/render?file=sched.csv&width=640&window=2:6";

@@ -94,7 +94,7 @@ fn concurrent_assembly_is_byte_identical_under_eviction_pressure() {
                     for i in 0..expected.len() {
                         let (opts, key, want) = &expected[(i + t * 3) % expected.len()];
                         let digest = 17;
-                        let (got, _ct) = store.render(&reg, digest, opts, key, &mut |sc| {
+                        let got = store.render(&reg, digest, opts, key, &mut |sc| {
                             layout_prepared_scratch(&prep, opts, sc)
                         });
                         assert_eq!(&got, want, "thread {t}, view {key}");
@@ -127,7 +127,7 @@ fn zero_cap_store_stays_correct() {
         let (opts, key) = options(fmt, None);
         let want = cold(&s, &opts);
         for _ in 0..2 {
-            let (got, _) = store.render(&reg, 5, &opts, &key, &mut |_| layout(&s, &opts));
+            let got = store.render(&reg, 5, &opts, &key, &mut |_| layout(&s, &opts));
             assert_eq!(got, want);
         }
     }
@@ -150,7 +150,7 @@ fn warm_pass_skips_layout() {
         let want = cold(&s, &opts);
         let mut layouts = 0;
         for pass in 0..2 {
-            let (got, _) = store.render(&reg, 9, &opts, &key, &mut |_| {
+            let got = store.render(&reg, 9, &opts, &key, &mut |_| {
                 layouts += 1;
                 layout(&s, &opts)
             });
