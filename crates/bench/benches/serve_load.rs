@@ -12,7 +12,8 @@
 //! reports percentiles instead of criterion medians.
 //!
 //! Set `JEDULE_BENCH_QUICK=1` to shrink the trace and request counts so
-//! the harness can be smoke-tested in seconds.
+//! the harness can be smoke-tested in seconds. Quick mode prints its
+//! numbers and leaves BENCH_serve.json alone: only a full run records.
 
 use jedule_core::snap::source_digest;
 use jedule_serve::{ServeConfig, Server, ServerHandle};
@@ -20,10 +21,14 @@ use jedule_workloads::convert::assigned_to_schedule;
 use jedule_workloads::{synth_scale_trace, ConvertOptions};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 const NODES: u32 = 1024;
+
+/// Fresh servers per side of the sidecar cold-start comparison: one
+/// cold request is at the mercy of the host, the median of five is not.
+const COLD_SERVERS: usize = 5;
 
 fn quick() -> bool {
     std::env::var_os("JEDULE_BENCH_QUICK").is_some()
@@ -147,6 +152,47 @@ fn start_server(jobs: usize, cache_cap: usize, tile_cache_cap: usize) -> (Server
     .expect("bind bench server")
     .spawn();
     (server, root)
+}
+
+/// The median wall time of the first `/render` of `target` on each of
+/// [`COLD_SERVERS`] fresh servers over `root`. Every body must digest to
+/// `want`, and every server must count `sidecar_hits` sidecar hits.
+fn median_cold_ms(root: &Path, target: &str, want: u64, sidecar_hits: u64) -> f64 {
+    let mut ms: Vec<f64> = (0..COLD_SERVERS)
+        .map(|_| {
+            let server = Server::bind(ServeConfig {
+                addr: "127.0.0.1:0".to_string(),
+                root: root.to_path_buf(),
+                workers: 4,
+                cache_cap: 4,
+                tile_cache_cap: 1_024,
+                ..ServeConfig::default()
+            })
+            .expect("bind cold-start server")
+            .spawn();
+            let mut client = Client::connect(server.addr());
+            let t = Instant::now();
+            let r = client.get(target, None);
+            let ms = t.elapsed().as_secs_f64() * 1e3;
+            assert_eq!(r.status, 200, "cold render must succeed");
+            assert_eq!(
+                source_digest(&r.body),
+                want,
+                "every cold body must be byte-identical to the text cold render"
+            );
+            assert_eq!(
+                server
+                    .registry()
+                    .counter_value("jedule_pack_sidecar_total", &[("result", "hit")]),
+                sidecar_hits,
+                "sidecar hits of one cold request"
+            );
+            server.shutdown().expect("graceful shutdown");
+            ms
+        })
+        .collect();
+    ms.sort_by(f64::total_cmp);
+    ms[ms.len() / 2]
 }
 
 fn main() {
@@ -276,9 +322,12 @@ fn main() {
     );
     server.shutdown().expect("graceful shutdown");
 
-    // Sidecar cold start: a fresh server on the same root, but with a
-    // fresh `.jpack` sidecar next to the input — the first /render must
-    // skip parse + prepare and map the pack instead, byte-identically.
+    // Sidecar cold start: fresh servers on the same root, first without
+    // a sidecar, then with a fresh `.jpack` beside the input — whose
+    // first /render must skip parse + prepare and map the pack instead,
+    // byte-identically.
+    let want = source_digest(&reply.body);
+    let text_cold_ms = median_cold_ms(&root, target, want, 0);
     let input = root.join("trace.csv");
     let csv_bytes = std::fs::read(&input).expect("read trace");
     {
@@ -296,35 +345,9 @@ fn main() {
         )
         .expect("write sidecar");
     }
-    let server2 = Server::bind(ServeConfig {
-        addr: "127.0.0.1:0".to_string(),
-        root: root.clone(),
-        workers: 4,
-        cache_cap: 4,
-        tile_cache_cap: 1_024,
-        ..ServeConfig::default()
-    })
-    .expect("bind sidecar server")
-    .spawn();
-    let mut c2 = Client::connect(server2.addr());
-    let t = Instant::now();
-    let r = c2.get(target, None);
-    let sidecar_cold_ms = t.elapsed().as_secs_f64() * 1e3;
-    assert_eq!(r.status, 200, "sidecar cold render must succeed");
-    assert_eq!(
-        source_digest(&r.body),
-        source_digest(&reply.body),
-        "sidecar-served body must be byte-identical to the text cold render"
-    );
-    let reg2 = server2.registry();
-    assert_eq!(
-        reg2.counter_value("jedule_pack_sidecar_total", &[("result", "hit")]),
-        1,
-        "the cold request must have been served from the sidecar"
-    );
-    server2.shutdown().expect("graceful shutdown");
+    let sidecar_cold_ms = median_cold_ms(&root, target, want, 1);
     let _ = std::fs::remove_dir_all(&root);
-    let sidecar_speedup = cold_ms / sidecar_cold_ms;
+    let sidecar_speedup = text_cold_ms / sidecar_cold_ms;
 
     let speedup = cold_ms / p50;
     eprintln!(
@@ -332,12 +355,17 @@ fn main() {
          ({speedup:.0}x vs cold); 304 p50 {rv_p50:.3} / p99 {rv_p99:.3} ms; \
          {rps:.0} req/s over {clients} keep-alive clients; \
          windows cold {:.2} ms -> warm tiles {:.2} ms ({tile_speedup:.1}x); \
-         sidecar cold start {sidecar_cold_ms:.2} ms ({sidecar_speedup:.1}x vs text cold); \
+         sidecar cold start {sidecar_cold_ms:.2} ms vs text {text_cold_ms:.2} ms \
+         ({sidecar_speedup:.1}x, medians of {COLD_SERVERS} fresh servers); \
          {hits} hits / {misses} misses / {not_modified} 304s; \
          tiles {tile_hits} hits / {tile_misses} misses; plans {plan_hits} hits / {plan_misses} misses",
         pass_mean_ms[0], pass_mean_ms[1]
     );
 
+    if quick() {
+        eprintln!("serve_load: quick mode, BENCH_serve.json left as committed");
+        return;
+    }
     let json = format!(
         r#"{{
   "description": "Serve-mode baseline: crates/bench/benches/serve_load.rs. An in-process `jedule serve` instance (epoll event loop, 4 render workers, LRU body+prepared+tile caches) fed a {jobs}-job synthetic trace (synth_scale_trace, 1024 nodes) over real loopback keep-alive connections. Series: the cold first /render (ingest + prepare + render + encode), {cached_reqs} cached repeats of the identical request (latency percentiles, full HTTP round trip included), {revals} ETag revalidations (304, no body), {clients} persistent clients x {per_client} cached requests (throughput), and {windows} distinct-window requests in two passes — pass 1 cold shards, pass 2 misses the (undersized) body cache but reassembles warm tiles.",
@@ -370,7 +398,8 @@ fn main() {
       "requests_per_second": {rps:.0}
     }},
     "cold_first_request": {{ "wall": "{cold_ms:.2} ms" }},
-    "cold_first_request_sidecar": {{ "wall": "{sidecar_cold_ms:.2} ms" }},
+    "cold_first_request_text_median": {{ "wall": "{text_cold_ms:.2} ms", "servers": {COLD_SERVERS} }},
+    "cold_first_request_sidecar_median": {{ "wall": "{sidecar_cold_ms:.2} ms", "servers": {COLD_SERVERS} }},
     "distinct_windows": {{
       "cold_mean_per_window": "{cold_win:.2} ms",
       "warm_tile_mean_per_window": "{warm_win:.2} ms",
@@ -382,7 +411,7 @@ fn main() {
     "The hit/miss partition (hits + misses == 200 render responses, asserted every run) held: {hits} hits / {misses} misses across {renders} renders, plus {not_modified} 304 revalidations counted separately; tile lookups partitioned as {tile_hits} hits / {tile_misses} misses.",
     "Pass-2 window bodies were digest-identical to pass-1 (asserted): tile reassembly reproduces cold bytes exactly.",
     "304 revalidations touch only the stat-validated digest cache — no file read, no render — which is what keeps their p50 sub-millisecond.",
-    "Sidecar cold start: a fresh server whose input already had a fresh .jpack sidecar answered its first /render in {sidecar_cold_ms:.2} ms vs {cold_ms:.2} ms for the text cold start; the body was digest-identical (asserted) and jedule_pack_sidecar_total counted exactly one hit.",
+    "Sidecar cold start: over {COLD_SERVERS} fresh servers each, the first /render took a median {sidecar_cold_ms:.2} ms with a fresh .jpack sidecar beside the input vs {text_cold_ms:.2} ms from the text alone; every body was digest-identical to the text cold render (asserted), and each sidecar server counted exactly one jedule_pack_sidecar_total hit.",
     "Serve pins threads=1 per render; cached bodies are byte-identical to cold single-threaded renders (asserted in crates/serve/tests/serve_http.rs)."
   ]
 }}
@@ -391,7 +420,7 @@ fn main() {
         cold_win = pass_mean_ms[0],
         warm_win = pass_mean_ms[1],
     );
-    let out = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_serve.json");
+    let out = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_serve.json");
     std::fs::write(&out, json).expect("write BENCH_serve.json");
     eprintln!("wrote {}", out.display());
 }

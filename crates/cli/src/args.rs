@@ -81,16 +81,20 @@ pub fn digest_source(src: &str) -> u64 {
 /// * a **corrupt** sidecar is reported to stderr, ignored, and
 ///   rewritten — it never fails the command.
 ///
-/// A rewritten sidecar stores the digest of the very text it was parsed
-/// from, so an input edited between the probe and the parse cannot leave
-/// a pack that claims the wrong source.
+/// With `threads` above 1 the input streams through its digest while
+/// the sidecar loads on the other workers; freshness is decided after
+/// both, so a stale sidecar is ignored silently even when it is corrupt
+/// too ([`snap::load_if_fresh_with`]). A rewritten sidecar stores the
+/// digest of the very text it was parsed from, so an input edited
+/// between the probe and the parse cannot leave a pack that claims the
+/// wrong source.
 pub fn load_prepared_sidecar(
     path: &str,
     threads: usize,
 ) -> Result<jedule_core::PreparedSchedule<'static>, String> {
     let sidecar = snap::sidecar_path(Path::new(path));
     if sidecar.exists() {
-        match snap::load_if_fresh(&sidecar, digest_file(path)?) {
+        match snap::load_if_fresh_with(&sidecar, || digest_file(path), threads)? {
             Ok(Some(packed)) => return Ok(jedule_core::PreparedSchedule::from_pack(packed)),
             Ok(None) => {} // stale: fall back to the text silently
             Err(e) => eprintln!("jedule: ignoring sidecar {}: {e}", sidecar.display()),

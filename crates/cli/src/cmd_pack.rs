@@ -40,7 +40,7 @@ pub fn run(argv: &[String]) -> Result<(), String> {
         .unwrap_or_else(|| snap::sidecar_path(Path::new(&input)));
 
     if check {
-        return check_pack(&input, &out_path, digest_file(&input)?);
+        return check_pack(&input, &out_path, digest_file(&input)?, threads);
     }
 
     // One read: the stored digest describes exactly the bytes parsed.
@@ -67,8 +67,8 @@ pub fn run(argv: &[String]) -> Result<(), String> {
 /// `--check`: fully loads an existing pack and reports freshness
 /// against the current input bytes. Missing, stale (another format
 /// version, or other source text) or corrupt packs exit nonzero so CI
-/// can gate on it.
-fn check_pack(input: &str, pack: &Path, digest: u64) -> Result<(), String> {
+/// can gate on it. The load validates on `threads` workers.
+fn check_pack(input: &str, pack: &Path, digest: u64, threads: usize) -> Result<(), String> {
     if !pack.exists() {
         return Err(format!(
             "{}: no pack (run `jedule pack {input}`)",
@@ -84,7 +84,8 @@ fn check_pack(input: &str, pack: &Path, digest: u64) -> Result<(), String> {
             snap::PACK_VERSION
         ));
     }
-    let packed = snap::load(pack).map_err(|e| format!("{}: {e}", pack.display()))?;
+    let packed =
+        snap::load_threads(pack, threads).map_err(|e| format!("{}: {e}", pack.display()))?;
     if packed.source_digest != digest {
         return Err(format!(
             "{}: stale (pack digest {:016x}, input digest {digest:016x})",

@@ -64,14 +64,16 @@ RENDER OPTIONS:
                             the input: fresh sidecars are mmap-loaded
                             instead of parsed (also on view/compare);
                             stale ones are silently rebuilt
-    -j, --threads <n>       raster/encode worker threads (0 = all cores,
+    -j, --threads <n>       worker threads for ingest, sidecar validation,
+                            LOD binning, raster and encode (0 = all cores,
                             1 = sequential; pixels identical either way)
 
 PACK OPTIONS:
     -o, --output <file>     pack path (default: <input>.jpack)
         --check             validate an existing pack against the input
                             (exit nonzero when missing/stale/corrupt)
-    -j, --threads <n>       parse worker threads (0 = all cores)
+    -j, --threads <n>       parse (or --check validation) worker threads
+                            (0 = all cores)
 
 SERVE OPTIONS:
         --addr <host:port>  bind address (default 127.0.0.1:8017)

@@ -334,6 +334,165 @@ fn older_version_sidecar_is_stale() {
     assert!(jedule(&["pack", inp, "--check"]).status.success());
 }
 
+/// A sidecar that is stale (the input changed) and corrupt too is
+/// stale first: a `--pack-sidecar` render rebuilds it silently, at one
+/// worker and at two (where the pack loads while the input digests).
+#[test]
+fn stale_and_corrupt_sidecar_rebuilds_silently() {
+    let dir = tmp();
+    let input = demo_schedule(&dir);
+    let inp = input.to_str().unwrap();
+    assert!(jedule(&["pack", inp]).status.success());
+    let sidecar = jedule_core::snap::sidecar_path(&input);
+    let mut pack = std::fs::read(&sidecar).unwrap();
+    let mid = pack.len() / 2;
+    pack[mid] ^= 0xff;
+    let mut edited = std::fs::read(&input).unwrap();
+    edited.push(b'\n');
+    std::fs::write(&input, edited).unwrap();
+    let text_svg = dir.join("text.svg");
+    assert!(jedule(&["render", inp, "-o", text_svg.to_str().unwrap()])
+        .status
+        .success());
+    for j in ["1", "2"] {
+        std::fs::write(&sidecar, &pack).unwrap();
+        let packed_svg = dir.join(format!("packed{j}.svg"));
+        let out = jedule(&[
+            "render",
+            inp,
+            "--pack-sidecar",
+            "-j",
+            j,
+            "-o",
+            packed_svg.to_str().unwrap(),
+        ]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "-j {j}: {stderr}");
+        assert!(!stderr.contains("ignoring sidecar"), "-j {j}: {stderr}");
+        assert_eq!(
+            std::fs::read(&packed_svg).unwrap(),
+            std::fs::read(&text_svg).unwrap()
+        );
+        assert!(jedule(&["pack", inp, "--check"]).status.success(), "-j {j}");
+    }
+}
+
+/// A fresh but corrupt sidecar is reported with the same message at one
+/// worker and at two, then rebuilt; the figure is the text render's.
+#[test]
+fn corrupt_sidecar_is_reported_alike_at_any_worker_count() {
+    let dir = tmp();
+    let input = demo_schedule(&dir);
+    let inp = input.to_str().unwrap();
+    assert!(jedule(&["pack", inp]).status.success());
+    let sidecar = jedule_core::snap::sidecar_path(&input);
+    let mut pack = std::fs::read(&sidecar).unwrap();
+    let mid = pack.len() / 2;
+    pack[mid] ^= 0xff;
+    let text_svg = dir.join("text.svg");
+    assert!(jedule(&["render", inp, "-o", text_svg.to_str().unwrap()])
+        .status
+        .success());
+    let reports: Vec<String> = ["1", "2"]
+        .into_iter()
+        .map(|j| {
+            std::fs::write(&sidecar, &pack).unwrap();
+            let packed_svg = dir.join(format!("packed{j}.svg"));
+            let out = jedule(&[
+                "render",
+                inp,
+                "--pack-sidecar",
+                "-j",
+                j,
+                "-o",
+                packed_svg.to_str().unwrap(),
+            ]);
+            let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+            assert!(out.status.success(), "-j {j}: {stderr}");
+            assert_eq!(
+                std::fs::read(&packed_svg).unwrap(),
+                std::fs::read(&text_svg).unwrap()
+            );
+            stderr.lines().next().unwrap_or_default().to_string()
+        })
+        .collect();
+    assert!(
+        reports[0].contains("ignoring sidecar") && reports[0].contains("body digest mismatch"),
+        "{}",
+        reports[0]
+    );
+    assert_eq!(reports[0], reports[1]);
+}
+
+/// `pack --check` on a pack big enough to validate on several workers
+/// names the same error at `-j 1` and `-j 2`: a bad index entry behind
+/// a re-stamped body digest, and a plain flipped byte.
+#[test]
+fn pack_check_names_the_same_error_at_any_worker_count() {
+    use jedule_core::snap::source_digest;
+    let dir = tmp();
+    let input = dir.join("wide.csv");
+    let mut csv = String::from("cluster,0,c0,8\n");
+    for i in 0..24_000u32 {
+        csv.push_str(&format!("task,t{i},work,{i},{},0:{}\n", i + 3, i % 8));
+    }
+    std::fs::write(&input, csv).unwrap();
+    let inp = input.to_str().unwrap();
+    assert!(jedule(&["pack", inp]).status.success());
+    let sidecar = jedule_core::snap::sidecar_path(&input);
+    let pack = std::fs::read(&sidecar).unwrap();
+    assert!(pack.len() >= 1 << 20, "{} bytes", pack.len());
+
+    // The byte range of section `id` (header 48 B, then 24-byte table
+    // entries `{id u32, pad u32, off u64, len u64}`).
+    let section = |id: u32| {
+        (0..24)
+            .map(|i| 48 + 24 * i)
+            .find(|&e| u32::from_le_bytes(pack[e..e + 4].try_into().unwrap()) == id)
+            .map(|e| {
+                let word = |at: usize| u64::from_le_bytes(pack[at..at + 8].try_into().unwrap());
+                (word(e + 8) as usize, word(e + 16) as usize)
+            })
+            .unwrap()
+    };
+    let check = |bytes: &[u8]| -> Vec<String> {
+        std::fs::write(&sidecar, bytes).unwrap();
+        ["1", "2"]
+            .into_iter()
+            .map(|j| {
+                let out = jedule(&["pack", inp, "--check", "-j", j]);
+                assert_eq!(out.status.code(), Some(1), "-j {j}");
+                String::from_utf8_lossy(&out.stderr).into_owned()
+            })
+            .collect()
+    };
+
+    // The last host index entry (section 17) names a task past the end.
+    let (host_ids, host_len) = section(17);
+    let mut bad = pack.clone();
+    let at = host_ids + host_len - 4;
+    bad[at..at + 4].copy_from_slice(&24_000u32.to_le_bytes());
+    let body = source_digest(&bad[48..]);
+    bad[24..32].copy_from_slice(&body.to_le_bytes());
+    let reports = check(&bad);
+    assert!(
+        reports[0].contains("index host entries: task id 24000 out of range"),
+        "{}",
+        reports[0]
+    );
+    assert_eq!(reports[0], reports[1]);
+
+    let mut flipped = pack.clone();
+    flipped[pack.len() / 2] ^= 0x01;
+    let reports = check(&flipped);
+    assert!(
+        reports[0].contains("body digest mismatch"),
+        "{}",
+        reports[0]
+    );
+    assert_eq!(reports[0], reports[1]);
+}
+
 #[test]
 fn info_reports_stats_and_json() {
     let dir = tmp();

@@ -65,10 +65,13 @@ use crate::hostset::{HostRange, HostSet};
 use crate::index::{ClusterIndex, IndexEntry, IntervalSeq, ScheduleIndex};
 use crate::model::{Allocation, Cluster, MetaInfo, Task};
 use crate::obs;
+use crate::parallel::effective_threads;
 use crate::prepared::PreparedSchedule;
 use std::collections::HashMap;
+use std::convert::Infallible;
 use std::fmt;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// First 8 bytes of every pack.
@@ -1210,6 +1213,152 @@ fn check_seq(ids: &[u32], starts: &[f64], what: &str) -> Result<(), PackError> {
     Ok(())
 }
 
+/// The stored index rows in the flat order [`load`] checks them: each
+/// cluster's row, then that cluster's host rows. `hosts` holds each
+/// cluster's host count, and every offsets slice has passed its CSR
+/// check.
+#[derive(Clone)]
+struct IndexRows<'a> {
+    hosts: Arc<[u32]>,
+    cl_offsets: &'a [u32],
+    cl_ids: &'a [u32],
+    host_offsets: &'a [u32],
+    host_ids: &'a [u32],
+}
+
+impl<'a> IndexRows<'a> {
+    fn len(&self) -> usize {
+        self.hosts.len() + self.host_offsets.len() - 1
+    }
+
+    /// Calls `f` on flat rows `k0..k1` in order, with each row's ids and
+    /// the message prefix of its kind.
+    fn each(
+        &self,
+        k0: usize,
+        k1: usize,
+        mut f: impl FnMut(&'a [u32], &'static str) -> Result<(), PackError>,
+    ) -> Result<(), PackError> {
+        let (mut k, mut row) = (0usize, 0usize);
+        for (ci, &hosts) in self.hosts.iter().enumerate() {
+            let hosts = hosts as usize;
+            if k >= k1 {
+                break;
+            }
+            if k + 1 + hosts > k0 {
+                if k >= k0 {
+                    let ids = &self.cl_ids
+                        [self.cl_offsets[ci] as usize..self.cl_offsets[ci + 1] as usize];
+                    f(ids, "index cluster entries")?;
+                }
+                let first = k0.saturating_sub(k + 1);
+                let last = (k1 - k - 1).min(hosts);
+                for r in row + first..row + last {
+                    let ids = &self.host_ids
+                        [self.host_offsets[r] as usize..self.host_offsets[r + 1] as usize];
+                    f(ids, "index host entries")?;
+                }
+            }
+            k += 1 + hosts;
+            row += hosts;
+        }
+        Ok(())
+    }
+
+    /// Cuts the flat rows into about `count` contiguous runs of about
+    /// equal entry count, in order.
+    fn runs(&self, count: usize) -> Vec<(usize, usize)> {
+        let total = self.cl_ids.len() + self.host_ids.len();
+        let target = total.div_ceil(count).max(1);
+        let (mut out, mut k0, mut k, mut acc) = (Vec::new(), 0usize, 0usize, 0usize);
+        let _ = self.each(0, self.len(), |ids, _| {
+            acc += ids.len();
+            k += 1;
+            if acc >= target {
+                out.push((k0, k));
+                (k0, acc) = (k, 0);
+            }
+            Ok(())
+        });
+        if k0 < k {
+            out.push((k0, k));
+        }
+        out
+    }
+}
+
+/// Packs under this many bytes validate on one thread whatever the
+/// worker count: below it, spawning the workers costs more than the
+/// checks they would share.
+const PAR_MIN_BYTES: usize = 1 << 20;
+
+/// One bulk check of a load: a pass over whole sections, or over a run
+/// of index rows, that reads only slices the sequential checks have
+/// already shaped.
+type Check<'a> = Box<dyn Fn() -> Result<(), PackError> + Send + Sync + 'a>;
+
+/// The bulk checks of one load. On one worker each check runs where the
+/// loader reaches it, which is the plain sequential order. On more, each
+/// is queued in that order and [`Bulk::run`] shares the queue among the
+/// workers. A failing sequential check stops the queue from growing, so
+/// the queued checks are exactly those a sequential load makes before
+/// it: the first failure in queue order, else the sequential failure,
+/// is the error a sequential load reports.
+struct Bulk<'a> {
+    workers: usize,
+    queue: Vec<Check<'a>>,
+}
+
+impl<'a> Bulk<'a> {
+    fn check(
+        &mut self,
+        f: impl Fn() -> Result<(), PackError> + Send + Sync + 'a,
+    ) -> Result<(), PackError> {
+        if self.workers <= 1 {
+            return f();
+        }
+        self.queue.push(Box::new(f));
+        Ok(())
+    }
+
+    /// Runs the queued checks on the workers, each claiming the next
+    /// unclaimed one; the error of the earliest failing check. Checks are
+    /// claimed in queue order, so every check before a failure has been
+    /// claimed, and a worker stops at its first failure: the earliest
+    /// failure of all is the earliest one the workers return.
+    fn run(self) -> Result<(), PackError> {
+        // The claim counter publishes nothing: the queue is shared
+        // read-only, and each result comes back through `join`.
+        let next = AtomicUsize::new(0);
+        let obs_handle = obs::handle();
+        let failures: Vec<(usize, PackError)> = std::thread::scope(|s| {
+            let workers: Vec<_> = (0..self.workers.min(self.queue.len()))
+                .map(|_| {
+                    let (queue, next, obs_handle) = (&self.queue, &next, &obs_handle);
+                    s.spawn(move || {
+                        let _att = obs_handle.attach();
+                        loop {
+                            let i = next.fetch_add(1, Ordering::Relaxed);
+                            let check = queue.get(i)?;
+                            if let Err(e) = check() {
+                                return Some((i, e));
+                            }
+                        }
+                    })
+                })
+                .collect();
+            workers
+                .into_iter()
+                .filter_map(|w| w.join().expect("pack check worker panicked"))
+                .collect()
+        });
+        match failures.into_iter().min_by_key(|&(i, _)| i) {
+            Some((_, e)) => Err(e),
+            None => Ok(()),
+        }
+    }
+}
+
 /// Bounds-checked cursor over the byte-packed composite section.
 struct Cursor<'a> {
     b: &'a [u8],
@@ -1306,20 +1455,45 @@ fn decode_extent(b: &[u8]) -> Option<TimeExtent> {
     })
 }
 
-/// Loads and fully validates a pack file. See the module docs for the
-/// validation contract; after `Ok`, every access is panic-free.
+/// Loads and fully validates a pack file on one thread. See the module
+/// docs for the validation contract; after `Ok`, every access is
+/// panic-free.
 pub fn load(path: &Path) -> Result<PackedSchedule, PackError> {
+    load_threads(path, 1)
+}
+
+/// [`load`] on `threads` workers (`0` = all cores, `1` = sequential).
+/// The header, the section table and the shape checks run on the
+/// calling thread; the body digest and the bulk passes over the
+/// sections run as jobs the workers share. Every check still runs
+/// before `Ok`, and a bad pack fails with the error a sequential load
+/// reports. Packs under 1 MiB load sequentially.
+pub fn load_threads(path: &Path, threads: usize) -> Result<PackedSchedule, PackError> {
     let buf = PackBuf::open(path)?;
-    load_from(Arc::new(buf))
+    let workers = if buf.len >= PAR_MIN_BYTES {
+        effective_threads(threads)
+    } else {
+        1
+    };
+    load_from(Arc::new(buf), workers)
 }
 
 /// [`load`] over in-memory bytes (always the heap-copy backing) — what
 /// round-trip and corruption tests drive.
 pub fn load_bytes(bytes: &[u8]) -> Result<PackedSchedule, PackError> {
-    load_from(Arc::new(PackBuf::from_bytes(bytes)))
+    load_bytes_threads(bytes, 1)
 }
 
-fn load_from(buf: Arc<PackBuf>) -> Result<PackedSchedule, PackError> {
+/// [`load_bytes`] on exactly `effective_threads(threads)` workers. There
+/// is no size floor, so tests drive the parallel checks on small packs.
+pub fn load_bytes_threads(bytes: &[u8], threads: usize) -> Result<PackedSchedule, PackError> {
+    load_from(
+        Arc::new(PackBuf::from_bytes(bytes)),
+        effective_threads(threads),
+    )
+}
+
+fn load_from(buf: Arc<PackBuf>, workers: usize) -> Result<PackedSchedule, PackError> {
     let _sp = obs::span("pack.load");
     if cfg!(target_endian = "big") {
         return Err(bad("jpack sections are little-endian; unsupported host"));
@@ -1342,16 +1516,109 @@ fn load_from(buf: Arc<PackBuf>) -> Result<PackedSchedule, PackError> {
             "section count {nsec}, version {PACK_VERSION} has {SEC_COUNT}"
         )));
     }
-    let table_end = HEADER_LEN + SEC_COUNT as usize * TABLE_ENTRY_LEN;
-    if b.len() < table_end {
+    if b.len() < HEADER_LEN + SEC_COUNT as usize * TABLE_ENTRY_LEN {
         return Err(bad("truncated section table"));
     }
-    {
+    // The body digest is the first bulk check, so a mismatch wins over
+    // every structural error.
+    let mut bulk = Bulk {
+        workers,
+        queue: Vec::new(),
+    };
+    let body = &b[HEADER_LEN..];
+    bulk.check(move || {
         let _d = obs::span("pack.digest");
-        if source_digest(&b[HEADER_LEN..]) != stored_body {
-            return Err(bad("body digest mismatch (corrupt pack)"));
+        if source_digest(body) == stored_body {
+            Ok(())
+        } else {
+            Err(bad("body digest mismatch (corrupt pack)"))
         }
-    }
+    })?;
+    let checked = check_sections(&buf, &mut bulk);
+    let Sections {
+        table,
+        n,
+        kind_names,
+        clusters,
+        meta,
+        global,
+        per_cluster,
+        composites,
+        n_allocs,
+        n_ranges,
+        n_attrs,
+    } = bulk.run().and(checked)?;
+
+    // --- Assemble borrowed columns + the lazy remainder -------------------
+    let columns = TaskColumns::from_parts(
+        Col::Packed(table.slice(&buf, SEC_STARTS)?),
+        Col::Packed(table.slice(&buf, SEC_ENDS)?),
+        Col::Packed(table.slice(&buf, SEC_KIND_IDS)?),
+        kind_names,
+        Col::Packed(table.slice(&buf, SEC_SEG_OFFSETS)?),
+        Col::Packed(table.slice(&buf, SEC_SEG_CLUSTERS)?),
+        Col::Packed(table.slice(&buf, SEC_SEG_ROW0)?),
+        Col::Packed(table.slice(&buf, SEC_SEG_NROWS)?),
+    );
+    let index = PackIndex {
+        cluster_offsets: table.slice(&buf, SEC_IDX_CLUSTER_OFFSETS)?,
+        cluster_ids: table.slice(&buf, SEC_IDX_CLUSTER_IDS)?,
+        host_offsets: table.slice(&buf, SEC_IDX_HOST_OFFSETS)?,
+        host_ids: table.slice(&buf, SEC_IDX_HOST_IDS)?,
+    };
+    let (blob_off, blob_len) = table.range(SEC_BLOB);
+    let names = PackNames {
+        buf: Arc::clone(&buf),
+        n,
+        id_off: table.range(SEC_ID_OFFSETS).0,
+        blob_off,
+        blob_len,
+        alloc_off: table.range(SEC_ALLOC_OFFSETS).0,
+        n_allocs,
+        alloc_clusters_off: table.range(SEC_ALLOC_CLUSTERS).0,
+        range_off: table.range(SEC_ALLOC_RANGE_OFFSETS).0,
+        ranges_off: table.range(SEC_ALLOC_RANGES).0,
+        n_ranges,
+        attr_off: table.range(SEC_ATTR_OFFSETS).0,
+        n_attrs,
+        attr_quads_off: table.range(SEC_ATTR_QUADS).0,
+    };
+    obs::count("pack.bytes_loaded", b.len() as u64);
+    Ok(PackedSchedule {
+        clusters,
+        meta,
+        columns,
+        index,
+        global,
+        per_cluster,
+        composites,
+        names,
+        source_digest: src_digest,
+    })
+}
+
+/// What the sequential checks of a load decode: the section table and
+/// the small owned parts of the pack.
+struct Sections {
+    table: SectionTable,
+    n: usize,
+    kind_names: Vec<String>,
+    clusters: Vec<Cluster>,
+    meta: MetaInfo,
+    global: Option<TimeExtent>,
+    per_cluster: Vec<Option<TimeExtent>>,
+    composites: Vec<Task>,
+    n_allocs: usize,
+    n_ranges: usize,
+    n_attrs: usize,
+}
+
+/// Every check of a load past the header and the body digest, in order:
+/// the section table and each section's shape here, each bulk pass over
+/// a section through `bulk`.
+fn check_sections<'a>(buf: &'a PackBuf, bulk: &mut Bulk<'a>) -> Result<Sections, PackError> {
+    let b = buf.bytes();
+    let table_end = HEADER_LEN + SEC_COUNT as usize * TABLE_ENTRY_LEN;
 
     // Section table: every id exactly once, 8-aligned, in bounds.
     let mut sections = [(usize::MAX, 0usize); SEC_COUNT as usize];
@@ -1390,21 +1657,21 @@ fn load_from(buf: Arc<PackBuf>) -> Result<PackedSchedule, PackError> {
     let table = SectionTable { sections };
 
     // --- Task columns -----------------------------------------------------
-    let starts = f64_section(&buf, table.range(SEC_STARTS))?;
-    let ends = f64_section(&buf, table.range(SEC_ENDS))?;
+    let starts = f64_section(buf, table.range(SEC_STARTS))?;
+    let ends = f64_section(buf, table.range(SEC_ENDS))?;
     let n = starts.len();
     if ends.len() != n {
         return Err(bad(format!("{} ends for {n} starts", ends.len())));
     }
-    let kind_ids = u32_section(&buf, table.range(SEC_KIND_IDS))?;
+    let kind_ids = u32_section(buf, table.range(SEC_KIND_IDS))?;
     if kind_ids.len() != n {
         return Err(bad(format!("{} kind ids for {n} tasks", kind_ids.len())));
     }
-    let seg_offsets = u32_section(&buf, table.range(SEC_SEG_OFFSETS))?;
-    let seg_clusters = u32_section(&buf, table.range(SEC_SEG_CLUSTERS))?;
-    let seg_row0 = u32_section(&buf, table.range(SEC_SEG_ROW0))?;
-    let seg_nrows = u32_section(&buf, table.range(SEC_SEG_NROWS))?;
-    check_csr(seg_offsets, n + 1, seg_clusters.len(), "segment offsets")?;
+    let seg_offsets = u32_section(buf, table.range(SEC_SEG_OFFSETS))?;
+    let seg_clusters = u32_section(buf, table.range(SEC_SEG_CLUSTERS))?;
+    let seg_row0 = u32_section(buf, table.range(SEC_SEG_ROW0))?;
+    let seg_nrows = u32_section(buf, table.range(SEC_SEG_NROWS))?;
+    bulk.check(move || check_csr(seg_offsets, n + 1, seg_clusters.len(), "segment offsets"))?;
     if seg_row0.len() != seg_clusters.len() || seg_nrows.len() != seg_clusters.len() {
         return Err(bad("segment column lengths disagree"));
     }
@@ -1413,9 +1680,9 @@ fn load_from(buf: Arc<PackBuf>) -> Result<PackedSchedule, PackError> {
     let (blob_off, blob_len) = table.range(SEC_BLOB);
     let blob = std::str::from_utf8(&b[blob_off..blob_off + blob_len])
         .map_err(|_| bad("string blob is not valid UTF-8"))?;
-    let id_offsets = u32_section(&buf, table.range(SEC_ID_OFFSETS))?;
-    check_blob_csr(id_offsets, n + 1, blob, "task id offsets")?;
-    let kind_name_offsets = u32_section(&buf, table.range(SEC_KIND_NAME_OFFSETS))?;
+    let id_offsets = u32_section(buf, table.range(SEC_ID_OFFSETS))?;
+    bulk.check(move || check_blob_csr(id_offsets, n + 1, blob, "task id offsets"))?;
+    let kind_name_offsets = u32_section(buf, table.range(SEC_KIND_NAME_OFFSETS))?;
     if kind_name_offsets.is_empty() {
         return Err(bad("kind name offsets empty"));
     }
@@ -1426,15 +1693,18 @@ fn load_from(buf: Arc<PackBuf>) -> Result<PackedSchedule, PackError> {
         "kind name offsets",
     )?;
     let n_kinds = kind_name_offsets.len() - 1;
-    if let Some(&k) = kind_ids.iter().find(|&&k| k as usize >= n_kinds) {
-        return Err(bad(format!("kind id {k} out of range ({n_kinds} kinds)")));
-    }
+    bulk.check(
+        move || match kind_ids.iter().find(|&&k| k as usize >= n_kinds) {
+            Some(&k) => Err(bad(format!("kind id {k} out of range ({n_kinds} kinds)"))),
+            None => Ok(()),
+        },
+    )?;
     let kind_names: Vec<String> = (0..n_kinds)
         .map(|i| blob[kind_name_offsets[i] as usize..kind_name_offsets[i + 1] as usize].to_string())
         .collect();
 
     // --- Cluster geometry -------------------------------------------------
-    let cluster_quads = u32_section(&buf, table.range(SEC_CLUSTERS))?;
+    let cluster_quads = u32_section(buf, table.range(SEC_CLUSTERS))?;
     if cluster_quads.len() % 4 != 0 {
         return Err(bad("cluster section length not a multiple of 4 words"));
     }
@@ -1450,22 +1720,29 @@ fn load_from(buf: Arc<PackBuf>) -> Result<PackedSchedule, PackError> {
     }
     // Row bounds: every segment of a known cluster must fit its host
     // count, so the layout's grid deposit can index rows unchecked.
-    let hosts_of = |cid: u32| clusters.iter().find(|c| c.id == cid).map(|c| c.hosts);
-    for ((&sc, &r0), &nr) in seg_clusters.iter().zip(seg_row0).zip(seg_nrows) {
-        if let Some(h) = hosts_of(sc) {
-            let end = r0
-                .checked_add(nr)
-                .ok_or_else(|| bad("segment row range overflows"))?;
-            if end > h {
-                return Err(bad(format!(
-                    "segment row range [{r0}, {end}) exceeds cluster {sc} hosts {h}"
-                )));
+    let geometry: Vec<(u32, u32)> = clusters.iter().map(|c| (c.id, c.hosts)).collect();
+    let hosts_of = move |cid: u32| geometry.iter().find(|&&(id, _)| id == cid).map(|&(_, h)| h);
+    bulk.check({
+        let hosts_of = hosts_of.clone();
+        move || {
+            for ((&sc, &r0), &nr) in seg_clusters.iter().zip(seg_row0).zip(seg_nrows) {
+                if let Some(h) = hosts_of(sc) {
+                    let end = r0
+                        .checked_add(nr)
+                        .ok_or_else(|| bad("segment row range overflows"))?;
+                    if end > h {
+                        return Err(bad(format!(
+                            "segment row range [{r0}, {end}) exceeds cluster {sc} hosts {h}"
+                        )));
+                    }
+                }
             }
+            Ok(())
         }
-    }
+    })?;
 
     // --- Meta -------------------------------------------------------------
-    let meta_quads = u32_section(&buf, table.range(SEC_META))?;
+    let meta_quads = u32_section(buf, table.range(SEC_META))?;
     if meta_quads.len() % 4 != 0 {
         return Err(bad("meta section length not a multiple of 4 words"));
     }
@@ -1494,11 +1771,11 @@ fn load_from(buf: Arc<PackBuf>) -> Result<PackedSchedule, PackError> {
         .collect();
 
     // --- Index ------------------------------------------------------------
-    let cl_offsets = u32_section(&buf, table.range(SEC_IDX_CLUSTER_OFFSETS))?;
-    let cl_ids = u32_section(&buf, table.range(SEC_IDX_CLUSTER_IDS))?;
+    let cl_offsets = u32_section(buf, table.range(SEC_IDX_CLUSTER_OFFSETS))?;
+    let cl_ids = u32_section(buf, table.range(SEC_IDX_CLUSTER_IDS))?;
     check_csr(cl_offsets, ncl + 1, cl_ids.len(), "index cluster offsets")?;
-    let host_offsets = u32_section(&buf, table.range(SEC_IDX_HOST_OFFSETS))?;
-    let host_ids = u32_section(&buf, table.range(SEC_IDX_HOST_IDS))?;
+    let host_offsets = u32_section(buf, table.range(SEC_IDX_HOST_OFFSETS))?;
+    let host_ids = u32_section(buf, table.range(SEC_IDX_HOST_IDS))?;
     let want_rows: u64 = clusters.iter().map(|c| c.hosts as u64).sum();
     let total_rows = usize::try_from(want_rows)
         .ok()
@@ -1515,61 +1792,78 @@ fn load_from(buf: Arc<PackBuf>) -> Result<PackedSchedule, PackError> {
         host_ids.len(),
         "index host offsets",
     )?;
-    {
-        let _c = obs::span("pack.index_check");
-        let mut row = 0usize;
-        for (ci, c) in clusters.iter().enumerate() {
-            let ids = &cl_ids[cl_offsets[ci] as usize..cl_offsets[ci + 1] as usize];
-            check_seq(ids, starts, "index cluster entries")?;
-            for _ in 0..c.hosts {
-                let ids = &host_ids[host_offsets[row] as usize..host_offsets[row + 1] as usize];
-                check_seq(ids, starts, "index host entries")?;
-                row += 1;
-            }
-        }
+    // One check walks every row in order; more workers split the rows
+    // into runs of about equal entry count, several per worker so the
+    // last one to finish is short.
+    let rows = IndexRows {
+        hosts: clusters.iter().map(|c| c.hosts).collect(),
+        cl_offsets,
+        cl_ids,
+        host_offsets,
+        host_ids,
+    };
+    let runs = if bulk.workers <= 1 {
+        vec![(0, rows.len())]
+    } else {
+        rows.runs(4 * bulk.workers)
+    };
+    for (k0, k1) in runs {
+        let rows = rows.clone();
+        bulk.check(move || {
+            let _c = obs::span("pack.index_check");
+            rows.each(k0, k1, |ids, what| check_seq(ids, starts, what))
+        })?;
     }
 
     // --- Allocation / attribute structure (lazy, but validated now) -------
-    let alloc_offsets = u32_section(&buf, table.range(SEC_ALLOC_OFFSETS))?;
-    let alloc_clusters = u32_section(&buf, table.range(SEC_ALLOC_CLUSTERS))?;
-    check_csr(
-        alloc_offsets,
-        n + 1,
-        alloc_clusters.len(),
-        "allocation offsets",
-    )?;
+    let alloc_offsets = u32_section(buf, table.range(SEC_ALLOC_OFFSETS))?;
+    let alloc_clusters = u32_section(buf, table.range(SEC_ALLOC_CLUSTERS))?;
+    bulk.check(move || {
+        check_csr(
+            alloc_offsets,
+            n + 1,
+            alloc_clusters.len(),
+            "allocation offsets",
+        )
+    })?;
     let n_allocs = alloc_clusters.len();
-    let range_offsets = u32_section(&buf, table.range(SEC_ALLOC_RANGE_OFFSETS))?;
-    let ranges = u32_section(&buf, table.range(SEC_ALLOC_RANGES))?;
+    let range_offsets = u32_section(buf, table.range(SEC_ALLOC_RANGE_OFFSETS))?;
+    let ranges = u32_section(buf, table.range(SEC_ALLOC_RANGES))?;
     if ranges.len() % 2 != 0 {
         return Err(bad("host range section length is odd"));
     }
-    check_csr(
-        range_offsets,
-        n_allocs + 1,
-        ranges.len() / 2,
-        "host range offsets",
-    )?;
-    for pair in ranges.chunks_exact(2) {
-        if pair[0].checked_add(pair[1]).is_none() {
-            return Err(bad("host range overflows"));
+    bulk.check(move || {
+        check_csr(
+            range_offsets,
+            n_allocs + 1,
+            ranges.len() / 2,
+            "host range offsets",
+        )?;
+        for pair in ranges.chunks_exact(2) {
+            if pair[0].checked_add(pair[1]).is_none() {
+                return Err(bad("host range overflows"));
+            }
         }
-    }
-    let attr_offsets = u32_section(&buf, table.range(SEC_ATTR_OFFSETS))?;
-    let attr_quads = u32_section(&buf, table.range(SEC_ATTR_QUADS))?;
+        Ok(())
+    })?;
+    let attr_offsets = u32_section(buf, table.range(SEC_ATTR_OFFSETS))?;
+    let attr_quads = u32_section(buf, table.range(SEC_ATTR_QUADS))?;
     if attr_quads.len() % 4 != 0 {
         return Err(bad("attribute section length not a multiple of 4 words"));
     }
-    check_csr(
-        attr_offsets,
-        n + 1,
-        attr_quads.len() / 4,
-        "attribute offsets",
-    )?;
-    for q in attr_quads.chunks_exact(4) {
-        check_blob_pair(q[0], q[1], blob, "attribute key")?;
-        check_blob_pair(q[2], q[3], blob, "attribute value")?;
-    }
+    bulk.check(move || {
+        check_csr(
+            attr_offsets,
+            n + 1,
+            attr_quads.len() / 4,
+            "attribute offsets",
+        )?;
+        for q in attr_quads.chunks_exact(4) {
+            check_blob_pair(q[0], q[1], blob, "attribute key")?;
+            check_blob_pair(q[2], q[3], blob, "attribute value")?;
+        }
+        Ok(())
+    })?;
 
     // --- Composites -------------------------------------------------------
     let (comp_off, comp_len) = table.range(SEC_COMPOSITES);
@@ -1586,51 +1880,18 @@ fn load_from(buf: Arc<PackBuf>) -> Result<PackedSchedule, PackError> {
             }
         }
     }
-
-    // --- Assemble borrowed columns + the lazy remainder -------------------
-    let columns = TaskColumns::from_parts(
-        Col::Packed(table.slice(&buf, SEC_STARTS)?),
-        Col::Packed(table.slice(&buf, SEC_ENDS)?),
-        Col::Packed(table.slice(&buf, SEC_KIND_IDS)?),
-        kind_names,
-        Col::Packed(table.slice(&buf, SEC_SEG_OFFSETS)?),
-        Col::Packed(table.slice(&buf, SEC_SEG_CLUSTERS)?),
-        Col::Packed(table.slice(&buf, SEC_SEG_ROW0)?),
-        Col::Packed(table.slice(&buf, SEC_SEG_NROWS)?),
-    );
-    let index = PackIndex {
-        cluster_offsets: table.slice(&buf, SEC_IDX_CLUSTER_OFFSETS)?,
-        cluster_ids: table.slice(&buf, SEC_IDX_CLUSTER_IDS)?,
-        host_offsets: table.slice(&buf, SEC_IDX_HOST_OFFSETS)?,
-        host_ids: table.slice(&buf, SEC_IDX_HOST_IDS)?,
-    };
-    let names = PackNames {
-        buf: Arc::clone(&buf),
+    Ok(Sections {
+        table,
         n,
-        id_off: table.range(SEC_ID_OFFSETS).0,
-        blob_off,
-        blob_len,
-        alloc_off: table.range(SEC_ALLOC_OFFSETS).0,
-        n_allocs,
-        alloc_clusters_off: table.range(SEC_ALLOC_CLUSTERS).0,
-        range_off: table.range(SEC_ALLOC_RANGE_OFFSETS).0,
-        ranges_off: table.range(SEC_ALLOC_RANGES).0,
-        n_ranges: ranges.len() / 2,
-        attr_off: table.range(SEC_ATTR_OFFSETS).0,
-        n_attrs: attr_quads.len() / 4,
-        attr_quads_off: table.range(SEC_ATTR_QUADS).0,
-    };
-    obs::count("pack.bytes_loaded", b.len() as u64);
-    Ok(PackedSchedule {
+        kind_names,
         clusters,
         meta,
-        columns,
-        index,
         global,
         per_cluster,
         composites,
-        names,
-        source_digest: src_digest,
+        n_allocs,
+        n_ranges: ranges.len() / 2,
+        n_attrs: attr_quads.len() / 4,
     })
 }
 
@@ -1638,20 +1899,65 @@ fn load_from(buf: Arc<PackBuf>) -> Result<PackedSchedule, PackError> {
 /// source digest equals `src_digest` (the digest of the *current*
 /// source text). `Ok(None)` means a stale pack — another format
 /// version, or built from other text — and callers fall back to the
-/// text path silently; `Err` means unreadable or corrupt.
+/// text path silently; `Err` means unreadable or corrupt. One thread:
+/// [`load_if_fresh_with`] at `threads = 1`.
 pub fn load_if_fresh(
     pack_path: &Path,
     src_digest: u64,
 ) -> Result<Option<PackedSchedule>, PackError> {
-    let info = peek(pack_path)?;
-    if info.version != PACK_VERSION || info.source_digest != src_digest {
+    load_if_fresh_with(pack_path, || Ok(src_digest), 1)
+        .unwrap_or_else(|never: Infallible| match never {})
+}
+
+/// The sidecar freshness rule, with the source digest computed by
+/// `digest`: the outer `Err` is `digest`'s own failure, which wins over
+/// anything the pack could report, and the inner result is
+/// [`load_if_fresh`]'s. On one worker the digest runs first and only a
+/// pack that matches it is loaded. On two or more, a pack whose header
+/// names [`PACK_VERSION`] is loaded (with [`load_threads`]) while
+/// `digest` runs on another worker, and freshness is decided once both
+/// are done — so a stale pack is still `Ok(None)`, never the error its
+/// load may have met.
+pub fn load_if_fresh_with<E: Send>(
+    pack_path: &Path,
+    digest: impl FnOnce() -> Result<u64, E> + Send,
+    threads: usize,
+) -> Result<Result<Option<PackedSchedule>, PackError>, E> {
+    let head = (effective_threads(threads) > 1).then(|| peek(pack_path));
+    let (src, loaded) = match head {
+        Some(Ok(info)) if info.version == PACK_VERSION => {
+            let obs_handle = obs::handle();
+            std::thread::scope(|s| {
+                let d = s.spawn(move || {
+                    let _att = obs_handle.attach();
+                    digest()
+                });
+                let loaded = load_threads(pack_path, threads);
+                let src = d.join().expect("source digest worker panicked");
+                (src, Some(loaded))
+            })
+        }
+        _ => (digest(), None),
+    };
+    let src = src?;
+    Ok(fresh_against(pack_path, src, head, loaded))
+}
+
+/// The freshness decision once the source digest `src` is known, from
+/// the header and the load taken beforehand when there are any, else
+/// from a peek and a load made now.
+fn fresh_against(
+    pack_path: &Path,
+    src: u64,
+    head: Option<Result<PackInfo, PackError>>,
+    loaded: Option<Result<PackedSchedule, PackError>>,
+) -> Result<Option<PackedSchedule>, PackError> {
+    let info = head.unwrap_or_else(|| peek(pack_path))?;
+    if info.version != PACK_VERSION || info.source_digest != src {
         return Ok(None);
     }
-    let packed = load(pack_path)?;
-    if packed.source_digest != src_digest {
-        return Ok(None);
-    }
-    Ok(Some(packed))
+    let packed = loaded.unwrap_or_else(|| load(pack_path))?;
+    Ok((packed.source_digest == src).then_some(packed))
 }
 
 #[cfg(test)]
@@ -1872,5 +2178,43 @@ mod tests {
         // A mismatching source digest would be reported as stale by the
         // sidecar helpers; load_bytes itself doesn't compare sources.
         assert_ne!(source_digest(b"edited"), packed.source_digest);
+    }
+
+    /// However the index rows are cut into runs, the runs visit every
+    /// row exactly once, in the order one walk over all rows does.
+    #[test]
+    fn index_row_runs_cover_every_row_in_order() {
+        let packed = load_bytes(&pack_of(&sched())).unwrap();
+        let rows = IndexRows {
+            hosts: packed.clusters.iter().map(|c| c.hosts).collect(),
+            cl_offsets: packed.index.cluster_offsets.as_slice(),
+            cl_ids: packed.index.cluster_ids.as_slice(),
+            host_offsets: packed.index.host_offsets.as_slice(),
+            host_ids: packed.index.host_ids.as_slice(),
+        };
+        assert_eq!(rows.len(), 2 + 12);
+        let visit = |k0: usize, k1: usize, seen: &mut Vec<(Vec<u32>, &'static str)>| {
+            rows.each(k0, k1, |ids, what| {
+                seen.push((ids.to_vec(), what));
+                Ok(())
+            })
+            .unwrap();
+        };
+        let mut all = Vec::new();
+        visit(0, rows.len(), &mut all);
+        assert_eq!(all.len(), rows.len());
+        assert_eq!(all[0].1, "index cluster entries");
+        assert_eq!(all[9].1, "index cluster entries");
+        for count in 1..=20 {
+            let runs = rows.runs(count);
+            assert_eq!(runs.first().map(|r| r.0), Some(0), "{count} runs");
+            assert_eq!(runs.last().map(|r| r.1), Some(rows.len()), "{count} runs");
+            assert!(runs.windows(2).all(|w| w[0].1 == w[1].0 && w[0].0 < w[0].1));
+            let mut seen = Vec::new();
+            for (k0, k1) in runs {
+                visit(k0, k1, &mut seen);
+            }
+            assert_eq!(seen, all, "{count} runs");
+        }
     }
 }

@@ -5,7 +5,9 @@
 //! digest has been re-stamped to pass the integrity check — with a clean
 //! `PackError`, never a panic and never an out-of-bounds access.
 
-use jedule_core::snap::{self, load_bytes, source_digest, write_pack, PackError};
+use jedule_core::snap::{
+    self, load_bytes, load_bytes_threads, source_digest, write_pack, PackError,
+};
 use jedule_core::{Allocation, HostSet, PreparedSchedule, Schedule, ScheduleBuilder, Task};
 use proptest::prelude::*;
 use std::io::{self, Read};
@@ -105,9 +107,30 @@ fn index_corruptions(pack: &[u8], offsets_id: u32, ids_id: u32) -> Vec<(Vec<u8>,
     out
 }
 
+/// Worker counts every corruption is loaded at: the sequential loader
+/// and the parallel one with its index rows split two and three ways.
+const WORKERS: [usize; 3] = [1, 2, 3];
+
+/// Loads `pack` at every count in [`WORKERS`] and returns the one error
+/// they all report, or panics if any load succeeds or two differ.
+fn load_error(pack: &[u8]) -> PackError {
+    let errs: Vec<PackError> = WORKERS
+        .iter()
+        .map(|&w| match load_bytes_threads(pack, w) {
+            Ok(_) => panic!("corrupt pack accepted at {w} workers"),
+            Err(e) => e,
+        })
+        .collect();
+    for (w, e) in WORKERS.iter().zip(&errs) {
+        assert_eq!(e, &errs[0], "{w} workers vs 1");
+    }
+    errs.into_iter().next().unwrap()
+}
+
 /// Loads every index corruption of `pack` and checks each is rejected
-/// by `load` itself, with the loader's own message. Returns how many
-/// corruptions each section got (cluster rows, host rows).
+/// by `load` itself, with the loader's own message, at every worker
+/// count. Returns how many corruptions each section got (cluster rows,
+/// host rows).
 fn assert_index_corruptions_rejected(pack: &[u8]) -> (usize, usize) {
     let mut counts = [0usize; 2];
     for (slot, (offsets_id, ids_id)) in [
@@ -118,9 +141,9 @@ fn assert_index_corruptions_rejected(pack: &[u8]) -> (usize, usize) {
     .enumerate()
     {
         for (q, want) in index_corruptions(pack, offsets_id, ids_id) {
-            match load_bytes(&q) {
-                Err(PackError::Format(m)) => assert!(m.contains(&want), "{m:?}, want {want:?}"),
-                other => panic!("corrupt index accepted: {other:?}, want {want:?}"),
+            match load_error(&q) {
+                PackError::Format(m) => assert!(m.contains(&want), "{m:?}, want {want:?}"),
+                other => panic!("{other:?}, want {want:?}"),
             }
             counts[slot] += 1;
         }
@@ -244,6 +267,78 @@ fn restamped_index_corruption_is_rejected_at_load() {
     // Both sections saw both kinds: 12 ids plus swaps in the cluster
     // rows, 24 ids plus swaps in the host rows.
     assert!(cluster > 12 && host > 24, "{cluster} {host}");
+}
+
+/// The first id of row `r` of index section `ids_id` (CSR in
+/// `offsets_id`), as a byte offset into `pack`.
+fn row_start(pack: &[u8], offsets_id: u32, ids_id: u32, r: usize) -> usize {
+    let (offs_off, _) = section(pack, offsets_id);
+    section(pack, ids_id).0 + 4 * u32_at(pack, offs_off + 4 * r) as usize
+}
+
+/// Two corruptions in one pack, the first early in a cluster row and
+/// the second late in a host row (so in another run of index rows on
+/// every parallel split): the cluster row's error is the one reported,
+/// at any worker count. A body-digest mismatch on top of a structural
+/// error wins over it.
+#[test]
+fn earliest_error_wins_at_any_worker_count() {
+    let mut b = ScheduleBuilder::new()
+        .cluster(0, "c0", 6)
+        .cluster(1, "c1", 6);
+    for i in 0..48u32 {
+        let start = f64::from(i);
+        b = b.task(
+            Task::new(format!("t{i}"), "work", start, start + 2.0).on(Allocation::contiguous(
+                i % 2,
+                i % 5,
+                2,
+            )),
+        );
+    }
+    let p = pack_of(&b.build().unwrap());
+    let n = section(&p, SEC_STARTS).1 / 8;
+    let out_of_range = (n as u32).to_le_bytes();
+
+    // Early in the first cluster row, late in the last host row.
+    let early = row_start(&p, SEC_IDX_CLUSTER_OFFSETS, SEC_IDX_CLUSTER_IDS, 0);
+    let (host_ids_off, host_ids_len) = section(&p, SEC_IDX_HOST_IDS);
+    let late = host_ids_off + host_ids_len - 4;
+    let mut q = p.clone();
+    q[late..late + 4].copy_from_slice(&out_of_range);
+    restamp(&mut q);
+    assert_eq!(
+        load_error(&q),
+        PackError::Format(format!(
+            "index host entries: task id {n} out of range ({n})"
+        ))
+    );
+    q[early..early + 4].copy_from_slice(&out_of_range);
+    restamp(&mut q);
+    assert_eq!(
+        load_error(&q),
+        PackError::Format(format!(
+            "index cluster entries: task id {n} out of range ({n})"
+        ))
+    );
+
+    // A doubled section id fails the table check; a flipped blob byte
+    // on top of it fails the body digest, which wins.
+    let mut q = p.clone();
+    let (e0, e1) = (HEADER_LEN, HEADER_LEN + TABLE_ENTRY_LEN);
+    let id: [u8; 4] = q[e1..e1 + 4].try_into().unwrap();
+    q[e0..e0 + 4].copy_from_slice(&id);
+    restamp(&mut q);
+    let table_err = load_error(&q);
+    assert!(
+        matches!(&table_err, PackError::Format(m) if m.contains("appears twice")),
+        "{table_err:?}"
+    );
+    q[section(&p, SEC_BLOB).0] ^= 0x20;
+    assert_eq!(
+        load_error(&q),
+        PackError::Format("body digest mismatch (corrupt pack)".into())
+    );
 }
 
 /// Flipping bit 63 of two body words — the sign bits of two `f64`
@@ -461,7 +556,7 @@ proptest! {
         }
         restamp(&mut q);
         prop_assert!(
-            matches!(load_bytes(&q), Err(PackError::Format(_))),
+            matches!(load_error(&q), PackError::Format(_)),
             "entry {} mode {}", entry, mode
         );
     }

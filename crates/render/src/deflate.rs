@@ -177,12 +177,20 @@ fn hash3(data: &[u8], i: usize) -> usize {
 
 /// Writes one fixed-Huffman DEFLATE block covering all of `data` into
 /// `w`: block header, greedy hash-chain LZ77 body, end-of-block symbol.
+///
+/// The chain links live in a ring of `WINDOW` slots (fewer for a short
+/// input), indexed by position modulo the ring. The walk reads the link
+/// of a candidate only while the candidate lies within `WINDOW` of the
+/// current position, and a slot is overwritten only by a position a
+/// whole ring later, so every link read is the one a chain as long as
+/// the input would hold: the tokens are the same.
 fn fixed_block(w: &mut BitWriter, data: &[u8], bfinal: bool) {
     w.bits(u32::from(bfinal), 1); // BFINAL
     w.bits(1, 2); // BTYPE = 01 (fixed Huffman)
 
     let mut head = vec![usize::MAX; 1 << HASH_BITS];
-    let mut prev = vec![usize::MAX; data.len()];
+    let mask = data.len().min(WINDOW).next_power_of_two() - 1;
+    let mut prev = vec![usize::MAX; mask + 1];
 
     let mut i = 0usize;
     while i < data.len() {
@@ -205,10 +213,10 @@ fn fixed_block(w: &mut BitWriter, data: &[u8], bfinal: bool) {
                         break;
                     }
                 }
-                cand = prev[cand];
+                cand = prev[cand & mask];
                 chain += 1;
             }
-            prev[i] = head[h];
+            prev[i & mask] = head[h];
             head[h] = i;
         }
 
@@ -221,7 +229,7 @@ fn fixed_block(w: &mut BitWriter, data: &[u8], bfinal: bool) {
                 let p = i + k;
                 if p + MIN_MATCH <= data.len() {
                     let h = hash3(data, p);
-                    prev[p] = head[h];
+                    prev[p & mask] = head[h];
                     head[h] = p;
                 }
             }
@@ -555,6 +563,121 @@ mod tests {
         }
         stream.extend_from_slice(&[0x01, 0x00, 0x00, 0xff, 0xff]);
         assert_eq!(inflate(&stream).unwrap(), want);
+    }
+
+    /// The hash chain with one link per input position: the reference
+    /// the ring must match token for token.
+    fn fixed_block_full_chain(w: &mut BitWriter, data: &[u8], bfinal: bool) {
+        w.bits(u32::from(bfinal), 1);
+        w.bits(1, 2);
+        let mut head = vec![usize::MAX; 1 << HASH_BITS];
+        let mut prev = vec![usize::MAX; data.len()];
+        let mut i = 0usize;
+        while i < data.len() {
+            let mut best_len = 0usize;
+            let mut best_dist = 0usize;
+            if i + MIN_MATCH <= data.len() {
+                let h = hash3(data, i);
+                let mut cand = head[h];
+                let mut chain = 0usize;
+                while cand != usize::MAX && i - cand <= WINDOW && chain < MAX_CHAIN {
+                    let limit = (data.len() - i).min(MAX_MATCH);
+                    let mut l = 0usize;
+                    while l < limit && data[cand + l] == data[i + l] {
+                        l += 1;
+                    }
+                    if l > best_len {
+                        best_len = l;
+                        best_dist = i - cand;
+                        if l >= MAX_MATCH {
+                            break;
+                        }
+                    }
+                    cand = prev[cand];
+                    chain += 1;
+                }
+                prev[i] = head[h];
+                head[h] = i;
+            }
+            if best_len >= MIN_MATCH {
+                emit_length(w, best_len as u32);
+                emit_distance(w, best_dist as u32);
+                for k in 1..best_len {
+                    let p = i + k;
+                    if p + MIN_MATCH <= data.len() {
+                        let h = hash3(data, p);
+                        prev[p] = head[h];
+                        head[h] = p;
+                    }
+                }
+                i += best_len;
+            } else {
+                let (c, n) = fixed_litlen(u32::from(data[i]));
+                w.code(c, n);
+                i += 1;
+            }
+        }
+        let (c, n) = fixed_litlen(256);
+        w.code(c, n);
+    }
+
+    /// Both entry points through the full-length chain.
+    fn reference(data: &[u8]) -> (Vec<u8>, Vec<u8>) {
+        let mut w = BitWriter::new();
+        fixed_block_full_chain(&mut w, data, true);
+        let last = w.finish();
+        let mut w = BitWriter::new();
+        fixed_block_full_chain(&mut w, data, false);
+        w.bits(0, 3);
+        w.align();
+        let mut sync = w.finish();
+        sync.extend_from_slice(&[0x00, 0x00, 0xff, 0xff]);
+        (last, sync)
+    }
+
+    #[test]
+    fn ring_chain_matches_the_full_length_chain() {
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        let mut noise = |n: usize, alphabet: u64| -> Vec<u8> {
+            (0..n)
+                .map(|_| {
+                    x ^= x << 13;
+                    x ^= x >> 7;
+                    x ^= x << 17;
+                    (x % alphabet) as u8
+                })
+                .collect()
+        };
+        // Chart-like scanlines: filter byte, then runs of a few colors
+        // whose boundaries drift row by row.
+        let scanlines = |rows: usize, width: usize| -> Vec<u8> {
+            let mut d = Vec::new();
+            for row in 0..rows {
+                d.push(u8::from(row % 3 == 0));
+                for px in 0..width {
+                    let c = [0xFF, 0x30, 0xC8, 0x7A][(px / 37 + row / 9 + px * row / 5000) % 4];
+                    d.extend_from_slice(&[c, c / 2, 255 - c]);
+                }
+            }
+            d
+        };
+        let mut inputs = vec![
+            noise(200_000, 256),
+            noise(150_000, 4),
+            scanlines(120, 800),
+            vec![0xAB; 300_000],
+            [vec![1u8; 70_000], noise(5_000, 3), vec![1u8; 70_000]].concat(),
+        ];
+        for len in [WINDOW - 1, WINDOW, WINDOW + 1, 3 * WINDOW + 7] {
+            inputs.push(noise(len, 5));
+            inputs.push(scanlines(len / 2401 + 1, 800)[..len].to_vec());
+            inputs.push(vec![7u8; len]);
+        }
+        for data in &inputs {
+            let (last, sync) = reference(data);
+            assert_eq!(deflate_fixed(data), last, "len {}", data.len());
+            assert_eq!(deflate_fixed_sync(data), sync, "len {}", data.len());
+        }
     }
 
     #[test]

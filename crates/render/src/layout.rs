@@ -434,11 +434,13 @@ fn draw_profile(
 ///
 /// A grid covers either a whole panel ([`LodGrid::new`]) or one
 /// contiguous **row band** of it ([`LodGrid::band`]). Bands are how
-/// density binning is parallelized without losing determinism:
-/// every worker walks the full aggregated-task list in task order but
-/// deposits only into the rows it owns, so each cell receives exactly the
-/// additions the sequential pass would apply, in the same order — `f32`
-/// accumulation is bit-identical for every worker count.
+/// density binning is parallelized without losing determinism: every
+/// worker walks the aggregated-task list in task order, skips each task
+/// with no segment in its rows ([`LodGrid::holds`]) before computing
+/// anything for it, and deposits only into the rows it owns. Each cell
+/// therefore receives exactly the additions the sequential pass would
+/// apply, in the same order — `f32` accumulation is bit-identical for
+/// every worker count.
 struct LodGrid {
     /// Global row of this band's first local row (0 for a full grid).
     row0: usize,
@@ -527,6 +529,20 @@ impl LodGrid {
         let lo = gr0.clamp(self.row0, self.row0 + self.rows) - self.row0;
         let hi = gr1.clamp(self.row0, self.row0 + self.rows) - self.row0;
         (lo, hi)
+    }
+
+    /// Whether task `ti` has a segment on `cluster` whose rows, clamped
+    /// to the panel, meet this band: exactly the tasks
+    /// [`LodGrid::add_cols`] deposits anything for.
+    #[inline]
+    fn holds(&self, cols: &TaskColumns, ti: usize, cluster: u32) -> bool {
+        let (seg_clusters, seg_row0, seg_nrows) =
+            (cols.seg_clusters(), cols.seg_row0(), cols.seg_nrows());
+        cols.seg_range(ti).any(|si| {
+            let gr0 = (seg_row0[si] as usize).min(self.total_rows);
+            let gr1 = ((seg_row0[si] + seg_nrows[si]) as usize).min(self.total_rows);
+            seg_clusters[si] == cluster && gr0.max(self.row0) < gr1.min(self.row0 + self.rows)
+        })
     }
 
     /// Accumulates task `ti` by walking its CSR segments in `cols`; `x0`
@@ -770,7 +786,8 @@ fn draw_panel_composites(
 /// linear scans over [`TaskColumns`]. Classification and binning fan out
 /// over `opts.threads` workers above [`PAR_MIN_ITEMS`] items;
 /// classification chunks concatenate in chunk order and binning shards by
-/// row band, so the scene is byte-identical for every worker count.
+/// row band, each band worker binning only the tasks with rows in its
+/// band, so the scene is byte-identical for every worker count.
 #[allow(clippy::too_many_arguments)]
 fn panel_tasks(
     scene: &mut Scene,
@@ -916,15 +933,19 @@ fn panel_tasks(
     scene.stats.lod_aggregated += aggregated;
     scene.stats.clipped += clipped;
 
-    // Density binning: every band worker walks the full aggregated list
-    // in task order but only deposits the rows it owns, so each cell
-    // accumulates bit-identically to the sequential pass. Strips go under
-    // the individually drawn tasks.
+    // Density binning: every band worker walks the aggregated list in
+    // task order, skips the tasks with no rows in its band and deposits
+    // only the rows it owns, so each cell accumulates bit-identically to
+    // the sequential pass. Strips go under the individually drawn tasks.
     if !agg.is_empty() {
         let total_rows = c.hosts.max(1) as usize;
         let deposit_all = |grid: &mut LodGrid, agg: &[u32]| {
+            let banded = grid.rows < grid.total_rows;
             for &ti in agg {
                 let ti = ti as usize;
+                if banded && !grid.holds(cols, ti, cid) {
+                    continue;
+                }
                 let t0 = starts[ti].max(ext.start);
                 let t1 = ends[ti].min(ext.end);
                 let x = to_x(t0);
@@ -943,11 +964,17 @@ fn panel_tasks(
             vec![grid]
         } else {
             let agg: &[u32] = agg;
+            let obs_handle = jedule_core::obs::handle();
             std::thread::scope(|scope| {
                 let handles: Vec<_> = chunk_bounds(total_rows, band_workers)
                     .into_iter()
                     .map(|(r0, r1)| {
+                        let obs_handle = obs_handle.clone();
                         scope.spawn(move || {
+                            let _att = obs_handle.attach();
+                            let _sp = jedule_core::obs::span_with("render.lod_bin", || {
+                                format!("rows {r0}..{r1}")
+                            });
                             let mut band = LodGrid::band(c.hosts, plot_w, r0, r1);
                             deposit_all(&mut band, agg);
                             band

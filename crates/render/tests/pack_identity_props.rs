@@ -10,7 +10,9 @@
 //! bundle does.
 
 use jedule_core::{obs, snap};
-use jedule_core::{AlignMode, Allocation, PreparedSchedule, Schedule, ScheduleBuilder, Task};
+use jedule_core::{
+    AlignMode, Allocation, HostSet, PreparedSchedule, Schedule, ScheduleBuilder, Task,
+};
 use jedule_render::html::{meta_json, TASK_EMBED_CAP};
 use jedule_render::{
     layout_prepared, render, render_prepared, LodMode, OutputFormat, RenderOptions,
@@ -203,6 +205,51 @@ fn packed_meta_json_over_the_cap_does_not_materialize() {
     );
     assert!(m.contains("\"truncated\":true"));
     assert_eq!(m, meta_json(&PreparedSchedule::borrowed(&s), &o));
+}
+
+/// A pack loaded and rendered on two workers draws what one worker
+/// draws: enough sub-pixel tasks that binning runs on row bands, on
+/// host sets that cross the band boundary at row 8.
+#[test]
+fn pack_render_is_identical_at_one_and_two_workers() {
+    let mut b = ScheduleBuilder::new()
+        .cluster(0, "c", 16)
+        .cluster(1, "d", 4);
+    for i in 0..10_000u32 {
+        let start = f64::from(i) * 0.01;
+        let t = Task::new(
+            format!("t{i}"),
+            ["work", "io", "net"][(i % 3) as usize],
+            start,
+            start + 0.02,
+        );
+        b = b.task(match i % 4 {
+            0 => t.on(Allocation::contiguous(0, 6 + i % 4, 3)),
+            1 => t.on(Allocation::new(0, HostSet::from_hosts([i % 3, 12 + i % 4]))),
+            2 => t
+                .on(Allocation::contiguous(0, i % 14, 2))
+                .on(Allocation::contiguous(1, i % 4, 1)),
+            _ => t.on(Allocation::contiguous(0, i % 16, 1)),
+        });
+    }
+    let bytes = pack_bytes(&b.build().unwrap());
+    let load = |threads| {
+        PreparedSchedule::from_pack(snap::load_bytes_threads(&bytes, threads).expect("pack loads"))
+    };
+    let (one, two) = (load(1), load(2));
+    for format in [OutputFormat::Svg, OutputFormat::Ppm] {
+        let o = RenderOptions {
+            format,
+            ..RenderOptions::default()
+        };
+        let scene = layout_prepared(&two, &o.clone().with_threads(2));
+        assert!(scene.stats.lod_aggregated > 8192, "{:?}", scene.stats);
+        assert_eq!(
+            render_prepared(&one, &o.clone().with_threads(1)),
+            render_prepared(&two, &o.with_threads(2)),
+            "{format:?}"
+        );
+    }
 }
 
 /// Loading a pack and rendering its full extent never gathers the

@@ -6,7 +6,9 @@
 //! and repeated window renders from one warmed instance must each match
 //! their one-shot counterpart.
 
-use jedule_core::{AlignMode, Allocation, PreparedSchedule, Schedule, ScheduleBuilder, Task};
+use jedule_core::{
+    AlignMode, Allocation, HostSet, PreparedSchedule, Schedule, ScheduleBuilder, Task,
+};
 use jedule_render::{
     layout, layout_prepared, layout_prepared_scratch, ppm, raster, svg, LayoutScratch, LodMode,
     RenderOptions,
@@ -135,7 +137,12 @@ proptest! {
 /// threshold, so classification chunking and row-banded density binning
 /// genuinely fan out: the scene must stay byte-identical to the
 /// single-threaded one-shot scan for every thread count, LOD mode and a
-/// zoomed window.
+/// zoomed window. Cluster 0's 24 rows split into bands at rows 12 (two
+/// workers), 8 and 16 (three) and 5, 10, 15 and 20 (five); its tasks
+/// include host sets whose ranges fall in different bands, tasks on
+/// both clusters, and segments straddling every one of those
+/// boundaries, so a band worker that skipped a task it holds rows of
+/// would drop deposits.
 #[test]
 fn parallel_columnar_layout_is_byte_identical_at_scale() {
     let mut b = ScheduleBuilder::new()
@@ -150,10 +157,20 @@ fn parallel_columnar_layout_is_byte_identical_at_scale() {
             start,
             start + dur,
         );
-        b = b.task(if i % 5 == 0 {
-            task.on(Allocation::contiguous(1, i % 8, 1))
-        } else {
-            task.on(Allocation::contiguous(0, i % 23, 1 + (i % 2)))
+        b = b.task(match i % 10 {
+            0 | 5 => task.on(Allocation::contiguous(1, i % 8, 1)),
+            1 | 6 => task.on(Allocation::new(
+                0,
+                HostSet::from_hosts([i % 4, 9 + i % 5, 17 + i % 7]),
+            )),
+            2 => task
+                .on(Allocation::contiguous(0, i % 21, 3))
+                .on(Allocation::contiguous(1, i % 6, 2)),
+            3 | 8 => {
+                let row0 = [11, 7, 15, 4, 9, 14, 19][(i / 10 % 7) as usize];
+                task.on(Allocation::contiguous(0, row0, 2 + i % 3))
+            }
+            _ => task.on(Allocation::contiguous(0, i % 23, 1 + (i % 2))),
         });
     }
     let s = b.build().unwrap();

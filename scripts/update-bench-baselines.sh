@@ -22,8 +22,9 @@
 # and recompute BENCH_ingest.json's `jpack_load_1m_speedup`
 # (= pack_cold/swf_parse_prepare / pack_cold/jpack_load at 1M tasks),
 # the mmap-snapshot cold-load gate. BENCH_serve.json is rewritten
-# whole by `cargo bench -p jedule-bench --bench serve_load`, including
-# its `sidecar_cold_first_request_speedup` row.
+# whole by a full (not JEDULE_BENCH_QUICK) run of
+# `cargo bench -p jedule-bench --bench serve_load`, including its
+# `sidecar_cold_first_request_speedup` row; a quick run only prints.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
