@@ -942,6 +942,8 @@ fn load_pack_sidecar(
     if !sidecar.exists() {
         return None;
     }
+    // One worker per request, as for the text ingest: `load_if_fresh`
+    // is the one-worker form of `snap::load_if_fresh_with`.
     let (result, packed) = match jedule_core::snap::load_if_fresh(&sidecar, digest) {
         Ok(Some(p)) => ("hit", Some(p)),
         Ok(None) => ("stale", None),
