@@ -64,7 +64,7 @@ fn bench_pack_cold(c: &mut Criterion) {
 
     // Text cold path: what a first render pays without a sidecar —
     // the CLI's SWF ingest (parse + node assignment + task building)
-    // followed by a cache warm, mirroring `args::load_prepared_sidecar`
+    // followed by a cache warm, mirroring `jedule_serve::ingest::acquire`
     // on a sidecar miss.
     g.bench_with_input(
         BenchmarkId::new("swf_parse_prepare", n),

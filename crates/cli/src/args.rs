@@ -1,8 +1,8 @@
 //! A tiny flag parser shared by the subcommands, plus the input
-//! loading and digesting they share.
+//! loading they share.
 
-use jedule_core::{obs, snap};
-use jedule_serve::ingest::parse_schedule;
+use jedule_core::{snap, PreparedSchedule, Schedule};
+use jedule_serve::ingest::{acquire, parse_schedule, read_source, Sidecar};
 use std::path::Path;
 
 /// Iterates over raw arguments, separating flags from positionals.
@@ -36,77 +36,37 @@ impl<'a> Args<'a> {
     }
 }
 
-/// Loads a schedule with format auto-detection (sequential ingest).
-pub fn load_schedule(path: &str) -> Result<jedule_core::Schedule, String> {
-    load_schedule_threads(path, 1)
-}
-
 /// Loads a schedule with format auto-detection and the workspace
 /// `threads` knob (see [`parse_schedule`]).
-pub fn load_schedule_threads(path: &str, threads: usize) -> Result<jedule_core::Schedule, String> {
-    parse_schedule(&read_source(path)?, Path::new(path), threads)
+pub fn load_schedule(path: &str, threads: usize) -> Result<Schedule, String> {
+    let path = Path::new(path);
+    parse_schedule(&read_source(path)?, path, threads)
 }
 
-/// Reads a schedule input's text.
-pub fn read_source(path: &str) -> Result<String, String> {
-    std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))
-}
-
-/// The source digest of `path`'s bytes, streamed through a fixed buffer
-/// so a fresh sidecar never costs a copy of the input.
-pub fn digest_file(path: &str) -> Result<u64, String> {
-    let _s = obs::span("ingest.digest");
-    std::fs::File::open(path)
-        .and_then(snap::source_digest_reader)
-        .map_err(|e| format!("cannot read {path}: {e}"))
-}
-
-/// The source digest of already-read input text.
-pub fn digest_source(src: &str) -> u64 {
-    let _s = obs::span("ingest.digest");
-    snap::source_digest(src.as_bytes())
-}
-
-/// Loads a schedule as a [`PreparedSchedule`](jedule_core::PreparedSchedule),
-/// preferring a fresh `<input>.jpack` sidecar over re-parsing the text (the
-/// `--pack-sidecar` mode of `render` / `view` / `compare`):
-///
-/// * a sidecar whose stored digest matches the input's bytes is mapped
-///   and served directly — the input is only streamed through the
-///   digest, never held in memory or parsed, and (unless the caller
-///   materializes) no `Schedule` is ever built;
-/// * a **stale** sidecar (digest mismatch after the input changed, or
-///   another format version) is silently ignored and rewritten after
-///   the text parse;
-/// * a **corrupt** sidecar is reported to stderr, ignored, and
-///   rewritten — it never fails the command.
-///
-/// With `threads` above 1 the input streams through its digest while
-/// the sidecar loads on the other workers; freshness is decided after
-/// both, so a stale sidecar is ignored silently even when it is corrupt
-/// too ([`snap::load_if_fresh_with`]). A rewritten sidecar stores the
-/// digest of the very text it was parsed from, so an input edited
-/// between the probe and the parse cannot leave a pack that claims the
-/// wrong source.
-pub fn load_prepared_sidecar(
+/// Loads the input of `render`, `view` and `compare`: without
+/// `pack_sidecar` a plain parse (no digest, no probe); with it,
+/// [`acquire`], rewriting a sidecar that missed with the digest of the
+/// text parsed. Only a corrupt sidecar is named on stderr, and no
+/// sidecar ever fails the command.
+pub fn load_prepared(
     path: &str,
     threads: usize,
-) -> Result<jedule_core::PreparedSchedule<'static>, String> {
-    let sidecar = snap::sidecar_path(Path::new(path));
-    if sidecar.exists() {
-        match snap::load_if_fresh_with(&sidecar, || digest_file(path), threads)? {
-            Ok(Some(packed)) => return Ok(jedule_core::PreparedSchedule::from_pack(packed)),
-            Ok(None) => {} // stale: fall back to the text silently
-            Err(e) => eprintln!("jedule: ignoring sidecar {}: {e}", sidecar.display()),
-        }
+    pack_sidecar: bool,
+) -> Result<PreparedSchedule<'static>, String> {
+    if !pack_sidecar {
+        return Ok(PreparedSchedule::new(load_schedule(path, threads)?));
     }
-    let src = read_source(path)?;
-    let digest = digest_source(&src);
-    let prep = jedule_core::PreparedSchedule::new(parse_schedule(&src, Path::new(path), threads)?);
-    if let Err(e) = snap::write_pack_file(&prep, digest, &sidecar) {
+    let (digest, prepared, outcome) = acquire(Path::new(path), threads, None)?;
+    let sidecar = snap::sidecar_path(Path::new(path));
+    match outcome {
+        Sidecar::Hit => return Ok(prepared),
+        Sidecar::Corrupt(e) => eprintln!("jedule: ignoring sidecar {}: {e}", sidecar.display()),
+        Sidecar::Stale | Sidecar::Absent => {}
+    }
+    if let Err(e) = snap::write_pack_file(&prepared, digest, &sidecar) {
         eprintln!("jedule: cannot write sidecar {}: {e}", sidecar.display());
     }
-    Ok(prep)
+    Ok(prepared)
 }
 
 #[cfg(test)]

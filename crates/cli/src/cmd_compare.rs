@@ -3,7 +3,7 @@
 //! scheduling output of CPA and MCPA side by side". Stacks two schedules
 //! into one chart and prints a statistics diff.
 
-use crate::args::{load_prepared_sidecar, load_schedule, Args};
+use crate::args::{load_prepared, Args};
 use crate::obs_cli::ObsSink;
 use jedule_core::obs;
 use jedule_core::stats::{idle_holes, schedule_stats};
@@ -42,13 +42,7 @@ pub fn run(argv: &[String]) -> Result<(), String> {
     let _obs = sink.arm();
     // Comparison needs full task lists (normalize/diff/merge), so a
     // sidecar hit materializes — it still skips the text parse.
-    let load = |p: &str| -> Result<_, String> {
-        if pack_sidecar {
-            Ok(load_prepared_sidecar(p, 1)?.into_schedule())
-        } else {
-            load_schedule(p)
-        }
-    };
+    let load = |p: &str| load_prepared(p, 1, pack_sidecar).map(PreparedSchedule::into_schedule);
     let (mut a, mut b) = {
         let _s = obs::span("ingest");
         (load(&inputs[0])?, load(&inputs[1])?)

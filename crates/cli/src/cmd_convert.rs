@@ -18,7 +18,7 @@ pub fn run(argv: &[String]) -> Result<(), String> {
     }
     let input = input.ok_or("convert needs an input schedule file")?;
     let output = output.ok_or("convert needs -o <output>")?;
-    let schedule = load_schedule(&input)?;
+    let schedule = load_schedule(&input, 1)?;
 
     let ext = std::path::Path::new(&output)
         .extension()

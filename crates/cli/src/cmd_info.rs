@@ -1,11 +1,13 @@
 //! `jedule info` — validation and statistics (the "sanity checks" the
 //! paper motivates the tool with).
 
-use crate::args::{digest_file, load_schedule, Args};
-use jedule_core::snap::{self, PACK_VERSION};
+use crate::args::{load_schedule, Args};
+use jedule_core::snap::{self, Freshness, PACK_VERSION};
 use jedule_core::stats::{idle_holes, schedule_stats};
 use jedule_core::validate;
+use jedule_serve::ingest::digest_file;
 use jedule_xmlio::json::{obj, Json};
+use std::path::Path;
 
 pub fn run(argv: &[String]) -> Result<(), String> {
     let mut args = Args::new(argv);
@@ -22,12 +24,12 @@ pub fn run(argv: &[String]) -> Result<(), String> {
         }
     }
     let input = input.ok_or("info needs an input schedule file")?;
-    let schedule = load_schedule(&input)?;
+    let schedule = load_schedule(&input, 1)?;
 
     let issues = validate(&schedule);
     let stats = schedule_stats(&schedule);
     let holes = idle_holes(&schedule, hole_min.max(1e-9));
-    let pack = pack_status(&input);
+    let pack = pack_status(&input)?;
 
     if as_json {
         let per_cluster: Vec<Json> = stats
@@ -56,10 +58,10 @@ pub fn run(argv: &[String]) -> Result<(), String> {
                 "pack",
                 match &pack {
                     PackStatus::Absent => obj([("present", Json::Bool(false))]),
-                    PackStatus::Ok { version, fresh } => obj([
+                    PackStatus::Ok { version, freshness } => obj([
                         ("present", Json::Bool(true)),
                         ("version", Json::Num(f64::from(*version))),
-                        ("fresh", Json::Bool(*fresh)),
+                        ("fresh", Json::Bool(*freshness == Freshness::Fresh)),
                     ]),
                     PackStatus::Invalid(e) => obj([
                         ("present", Json::Bool(true)),
@@ -91,14 +93,14 @@ pub fn run(argv: &[String]) -> Result<(), String> {
         println!("idle holes (> {hole_min}s): {}", holes.len());
         match &pack {
             PackStatus::Absent => println!("pack     : none (`jedule pack` builds one)"),
-            PackStatus::Ok { version, fresh } => println!(
+            PackStatus::Ok { version, freshness } => println!(
                 "pack     : v{version}, {}",
-                if *fresh {
-                    "fresh".to_string()
-                } else if *version != PACK_VERSION {
-                    format!("STALE (format changed; this build reads v{PACK_VERSION})")
-                } else {
-                    "STALE (input changed)".to_string()
+                match freshness {
+                    Freshness::Fresh => "fresh".to_string(),
+                    Freshness::StaleVersion => {
+                        format!("STALE (format changed; this build reads v{PACK_VERSION})")
+                    }
+                    Freshness::StaleSource => "STALE (input changed)".to_string(),
                 }
             ),
             PackStatus::Invalid(e) => println!("pack     : invalid ({e})"),
@@ -124,28 +126,25 @@ pub fn run(argv: &[String]) -> Result<(), String> {
 /// What `info` reports about the input's `.jpack` sidecar.
 enum PackStatus {
     Absent,
-    Ok { version: u32, fresh: bool },
+    Ok { version: u32, freshness: Freshness },
     Invalid(String),
 }
 
 /// Header-only freshness probe of the input's sidecar: present/absent,
-/// format version, and whether it is current — at [`PACK_VERSION`],
-/// with a stored source digest that still matches the input bytes (a
-/// stale pack is ignored and rebuilt by `--pack-sidecar` runs).
-fn pack_status(input: &str) -> PackStatus {
-    let sidecar = snap::sidecar_path(std::path::Path::new(input));
+/// format version, and [`snap::PackInfo::freshness`] against the input
+/// bytes (a stale pack is ignored and rebuilt by `--pack-sidecar`
+/// runs).
+fn pack_status(input: &str) -> Result<PackStatus, String> {
+    let input = Path::new(input);
+    let sidecar = snap::sidecar_path(input);
     if !sidecar.exists() {
-        return PackStatus::Absent;
+        return Ok(PackStatus::Absent);
     }
-    match snap::peek(&sidecar) {
-        Ok(info) => {
-            let fresh = info.version == PACK_VERSION
-                && digest_file(input).is_ok_and(|d| d == info.source_digest);
-            PackStatus::Ok {
-                version: info.version,
-                fresh,
-            }
-        }
+    Ok(match snap::peek(&sidecar) {
+        Ok(info) => PackStatus::Ok {
+            version: info.version,
+            freshness: info.freshness(digest_file(input)?),
+        },
         Err(e) => PackStatus::Invalid(e.to_string()),
-    }
+    })
 }

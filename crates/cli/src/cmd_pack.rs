@@ -3,10 +3,11 @@
 //! mmap-ready section file so later renders skip the parse + prepare
 //! cold path entirely (DESIGN.md §5f).
 
-use crate::args::{digest_file, digest_source, read_source, Args};
+use crate::args::Args;
 use crate::obs_cli::ObsSink;
-use jedule_core::{obs, snap, PreparedSchedule};
-use jedule_serve::ingest::parse_schedule;
+use jedule_core::snap::{self, Freshness};
+use jedule_core::{obs, PreparedSchedule};
+use jedule_serve::ingest::{digest_file, load_text};
 use std::path::{Path, PathBuf};
 
 pub fn run(argv: &[String]) -> Result<(), String> {
@@ -40,16 +41,13 @@ pub fn run(argv: &[String]) -> Result<(), String> {
         .unwrap_or_else(|| snap::sidecar_path(Path::new(&input)));
 
     if check {
-        return check_pack(&input, &out_path, digest_file(&input)?, threads);
+        return check_pack(&input, &out_path, digest_file(Path::new(&input))?, threads);
     }
 
     // One read: the stored digest describes exactly the bytes parsed.
-    let (prep, digest) = {
+    let (digest, prep) = {
         let _s = obs::span("ingest");
-        let src = read_source(&input)?;
-        let digest = digest_source(&src);
-        let prep = PreparedSchedule::new(parse_schedule(&src, Path::new(&input), threads)?);
-        (prep, digest)
+        load_text(Path::new(&input), threads)?
     };
     snap::write_pack_file(&prep, digest, &out_path)
         .map_err(|e| format!("cannot pack {input}: {e}"))?;
@@ -76,7 +74,8 @@ fn check_pack(input: &str, pack: &Path, digest: u64, threads: usize) -> Result<(
         ));
     }
     let info = snap::peek(pack).map_err(|e| format!("{}: {e}", pack.display()))?;
-    if info.version != snap::PACK_VERSION {
+    let freshness = info.freshness(digest);
+    if freshness == Freshness::StaleVersion {
         return Err(format!(
             "{}: stale (format v{}, this build reads v{}; run `jedule pack {input}`)",
             pack.display(),
@@ -86,11 +85,11 @@ fn check_pack(input: &str, pack: &Path, digest: u64, threads: usize) -> Result<(
     }
     let packed =
         snap::load_threads(pack, threads).map_err(|e| format!("{}: {e}", pack.display()))?;
-    if packed.source_digest != digest {
+    if freshness == Freshness::StaleSource {
         return Err(format!(
             "{}: stale (pack digest {:016x}, input digest {digest:016x})",
             pack.display(),
-            packed.source_digest
+            info.source_digest
         ));
     }
     let prep = PreparedSchedule::from_pack(packed);

@@ -1,6 +1,6 @@
 //! `jedule render` — the batch command-line mode (paper, §II-D2).
 
-use crate::args::{load_prepared_sidecar, load_schedule_threads, Args};
+use crate::args::{load_prepared, Args};
 use crate::obs_cli::ObsSink;
 use jedule_core::{obs, AlignMode, PreparedSchedule};
 use jedule_render::{render_prepared, LodMode, OutputFormat, RenderOptions};
@@ -72,11 +72,7 @@ pub fn run(argv: &[String]) -> Result<(), String> {
     // parse + sidecar write on a miss) instead of the text parse.
     let prepared = {
         let _s = obs::span("ingest");
-        let prepared = if pack_sidecar {
-            load_prepared_sidecar(&input, opts.threads)?
-        } else {
-            PreparedSchedule::new(load_schedule_threads(&input, opts.threads)?)
-        };
+        let prepared = load_prepared(&input, opts.threads, pack_sidecar)?;
         if only_types.is_empty() {
             prepared
         } else {

@@ -17,7 +17,7 @@
 //! q                     quit
 //! ```
 
-use crate::args::{load_schedule, Args};
+use crate::args::{load_prepared, load_schedule, Args};
 use jedule_core::view::task_info;
 use jedule_core::{AlignMode, HitTarget, PreparedSchedule, ViewState};
 use jedule_render::{render_prepared, OutputFormat, RenderOptions};
@@ -149,7 +149,7 @@ pub fn execute(session: &mut Session, line: &str, out: &mut impl std::io::Write)
             // "Jedule also supports fast rereads … of the current
             // schedule file" — rerun the simulation, press r, see the
             // new schedule.
-            match load_schedule(&session.path) {
+            match load_schedule(&session.path, 1) {
                 Ok(s) => {
                     session.schedule = PreparedSchedule::new(s);
                     session.view = ViewState::fit(&session.schedule);
@@ -235,11 +235,7 @@ pub fn run(argv: &[String]) -> Result<(), String> {
     let _obs = sink.arm();
     let schedule = {
         let _s = jedule_core::obs::span("ingest");
-        if pack_sidecar {
-            crate::args::load_prepared_sidecar(&input, 1)?
-        } else {
-            PreparedSchedule::new(load_schedule(&input)?)
-        }
+        load_prepared(&input, 1, pack_sidecar)?
     };
     // Build the index/extent caches up front so even the very first
     // zoom or pan is served warm.

@@ -861,6 +861,30 @@ pub struct PackInfo {
     pub source_digest: u64,
 }
 
+/// A pack header's verdict against the current source text, given by
+/// [`PackInfo::freshness`] alone: fresh, another format version
+/// (whatever its stored digest), or built from other text.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Freshness {
+    Fresh,
+    StaleVersion,
+    StaleSource,
+}
+
+impl PackInfo {
+    /// This pack against source text of digest `src_digest`; the
+    /// version is tested first.
+    pub fn freshness(&self, src_digest: u64) -> Freshness {
+        if self.version != PACK_VERSION {
+            Freshness::StaleVersion
+        } else if self.source_digest != src_digest {
+            Freshness::StaleSource
+        } else {
+            Freshness::Fresh
+        }
+    }
+}
+
 fn parse_header(head: &[u8]) -> Result<(u32, u32, u64, u64, u64), PackError> {
     if head.len() < HEADER_LEN {
         return Err(bad(format!(
@@ -1895,12 +1919,8 @@ fn check_sections<'a>(buf: &'a PackBuf, bulk: &mut Bulk<'a>) -> Result<Sections,
     })
 }
 
-/// Loads `pack_path` only if it is at [`PACK_VERSION`] and its stored
-/// source digest equals `src_digest` (the digest of the *current*
-/// source text). `Ok(None)` means a stale pack — another format
-/// version, or built from other text — and callers fall back to the
-/// text path silently; `Err` means unreadable or corrupt. One thread:
-/// [`load_if_fresh_with`] at `threads = 1`.
+/// [`load_if_fresh_with`] on one thread, against the digest `src_digest`
+/// of the current source text.
 pub fn load_if_fresh(
     pack_path: &Path,
     src_digest: u64,
@@ -1909,15 +1929,16 @@ pub fn load_if_fresh(
         .unwrap_or_else(|never: Infallible| match never {})
 }
 
-/// The sidecar freshness rule, with the source digest computed by
-/// `digest`: the outer `Err` is `digest`'s own failure, which wins over
-/// anything the pack could report, and the inner result is
-/// [`load_if_fresh`]'s. On one worker the digest runs first and only a
-/// pack that matches it is loaded. On two or more, a pack whose header
-/// names [`PACK_VERSION`] is loaded (with [`load_threads`]) while
-/// `digest` runs on another worker, and freshness is decided once both
-/// are done — so a stale pack is still `Ok(None)`, never the error its
-/// load may have met.
+/// Loads `pack_path` only if [`PackInfo::freshness`] finds it fresh for
+/// the source digest `digest` computes. The outer `Err` is `digest`'s
+/// own failure, which wins over anything the pack could report; inside,
+/// `Ok(None)` is a stale pack (callers fall back to the text silently)
+/// and `Err` an unreadable or corrupt one. On one worker the digest
+/// runs first and only a pack that matches it is loaded. On two or
+/// more, a pack whose header names [`PACK_VERSION`] is loaded (with
+/// [`load_threads`]) while `digest` runs on another worker, and
+/// freshness is decided once both are done — so a stale pack is still
+/// `Ok(None)`, never the error its load may have met.
 pub fn load_if_fresh_with<E: Send>(
     pack_path: &Path,
     digest: impl FnOnce() -> Result<u64, E> + Send,
@@ -1939,25 +1960,15 @@ pub fn load_if_fresh_with<E: Send>(
         }
         _ => (digest(), None),
     };
+    // Decide from the header and load taken above, else peek and load now.
     let src = src?;
-    Ok(fresh_against(pack_path, src, head, loaded))
-}
-
-/// The freshness decision once the source digest `src` is known, from
-/// the header and the load taken beforehand when there are any, else
-/// from a peek and a load made now.
-fn fresh_against(
-    pack_path: &Path,
-    src: u64,
-    head: Option<Result<PackInfo, PackError>>,
-    loaded: Option<Result<PackedSchedule, PackError>>,
-) -> Result<Option<PackedSchedule>, PackError> {
-    let info = head.unwrap_or_else(|| peek(pack_path))?;
-    if info.version != PACK_VERSION || info.source_digest != src {
-        return Ok(None);
-    }
-    let packed = loaded.unwrap_or_else(|| load(pack_path))?;
-    Ok((packed.source_digest == src).then_some(packed))
+    Ok(head.unwrap_or_else(|| peek(pack_path)).and_then(|info| {
+        if info.freshness(src) != Freshness::Fresh {
+            return Ok(None);
+        }
+        let packed = loaded.unwrap_or_else(|| load(pack_path))?;
+        Ok((packed.source_digest == src).then_some(packed))
+    }))
 }
 
 #[cfg(test)]
@@ -2168,6 +2179,18 @@ mod tests {
             assert!(matches!(load(&path), Err(PackError::Format(_))));
         }
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn freshness_tests_the_version_before_the_digest() {
+        let info = |version| PackInfo {
+            version,
+            source_digest: 7,
+        };
+        assert_eq!(info(PACK_VERSION).freshness(7), Freshness::Fresh);
+        assert_eq!(info(PACK_VERSION).freshness(8), Freshness::StaleSource);
+        assert_eq!(info(PACK_VERSION - 1).freshness(7), Freshness::StaleVersion);
+        assert_eq!(info(PACK_VERSION + 1).freshness(8), Freshness::StaleVersion);
     }
 
     #[test]

@@ -899,9 +899,8 @@ fn etag_for(digest: u64, opt_key: &str) -> String {
 
 /// The input's content digest, re-reading the file only when its
 /// `(mtime, len)` stat changed since the cached digest was computed.
-/// Returns the source text too when the validation forced a read, so
-/// the caller can parse without a second read.
-fn digest_for(state: &State, path: &Path) -> Result<(u64, Option<String>), Response> {
+/// The file streams through the digest; its text is never held here.
+fn digest_for(state: &State, path: &Path) -> Result<u64, Response> {
     let meta = std::fs::metadata(path)
         .map_err(|e| Response::text(404, format!("{}: {e}\n", path.display())))?;
     let mtime = meta.modified().unwrap_or(std::time::UNIX_EPOCH);
@@ -910,110 +909,54 @@ fn digest_for(state: &State, path: &Path) -> Result<(u64, Option<String>), Respo
     if let Some(d) = state.digests.get(&key) {
         if d.mtime == mtime && d.len == len {
             obs::count("serve.digest_cache_hit", 1);
-            return Ok((d.digest, None));
+            return Ok(d.digest);
         }
     }
-    let src = {
-        let _s = obs::span("serve.read");
-        std::fs::read_to_string(path)
-            .map_err(|e| Response::text(404, format!("{}: {e}\n", path.display())))?
-    };
-    obs::count("serve.bytes_read", src.len() as u64);
-    let digest = source_digest(src.as_bytes());
+    let digest = ingest::digest_file(path).map_err(|e| Response::text(404, e + "\n"))?;
+    obs::count("serve.bytes_read", len);
     state
         .digests
         .insert(key, Arc::new(FileDigest { mtime, len, digest }));
-    Ok((digest, Some(src)))
+    Ok(digest)
 }
 
-/// Probes the input's `.jpack` sidecar on a prepared-cache miss.
-/// `Some` only for a well-formed pack whose stored source digest
-/// matches the current content digest. A stale sidecar (the input
-/// changed since it was packed, or another format version) is skipped
-/// silently; a corrupt one is skipped too — the server only ever
-/// *reads* sidecars, so rebuilding is the operator's move (`jedule
-/// pack`). Every outcome is counted.
-fn load_pack_sidecar(
-    state: &State,
-    path: &Path,
-    digest: u64,
-) -> Option<jedule_core::snap::PackedSchedule> {
-    let sidecar = jedule_core::snap::sidecar_path(path);
-    if !sidecar.exists() {
-        return None;
-    }
-    // One worker per request, as for the text ingest: `load_if_fresh`
-    // is the one-worker form of `snap::load_if_fresh_with`.
-    let (result, packed) = match jedule_core::snap::load_if_fresh(&sidecar, digest) {
-        Ok(Some(p)) => ("hit", Some(p)),
-        Ok(None) => ("stale", None),
-        Err(_) => ("error", None),
-    };
-    state
-        .registry
-        .counter_add("jedule_pack_sidecar_total", &[("result", result)], 1);
-    obs::count(
-        match result {
-            "hit" => "serve.pack_sidecar_hit",
-            "stale" => "serve.pack_sidecar_stale",
-            _ => "serve.pack_sidecar_error",
-        },
-        1,
-    );
-    packed
-}
-
-/// The prepared bundle for an input: prepared-cache hit, fresh `.jpack`
-/// sidecar, or cold text ingest — the one acquisition path every
-/// figure- or metadata-producing endpoint shares. `src` carries the
-/// source text when the digest validation already read the file.
+/// The prepared bundle for an input and the digest of the bytes it
+/// came from: a prepared-cache hit, else [`ingest::acquire`] on one
+/// worker with the digest held. Sidecars are only read (rebuilding is
+/// `jedule pack`'s job); each outcome but an absent one is counted.
 fn prepared_for(
     state: &State,
     path: &Path,
     digest: u64,
-    mut src: Option<String>,
-) -> Result<Arc<PreparedSchedule<'static>>, Response> {
-    match state.prepared.get(&digest) {
-        Some(p) => {
-            state
-                .registry
-                .counter_add("jedule_prepared_cache_hits_total", &[], 1);
-            Ok(p)
-        }
-        None => {
-            state
-                .registry
-                .counter_add("jedule_prepared_cache_misses_total", &[], 1);
-            // A fresh `.jpack` sidecar beats the text cold path: the
-            // content digest just computed is exactly what the pack
-            // header stores, so a digest match maps the snapshot
-            // instead of parsing + preparing the text.
-            match load_pack_sidecar(state, path, digest) {
-                Some(packed) => Ok(state
-                    .prepared
-                    .insert(digest, Arc::new(PreparedSchedule::from_pack(packed)))),
-                None => {
-                    let src = match src.take() {
-                        Some(s) => s,
-                        None => {
-                            let _s = obs::span("serve.read");
-                            std::fs::read_to_string(path).map_err(|e| {
-                                Response::text(404, format!("{}: {e}\n", path.display()))
-                            })?
-                        }
-                    };
-                    let schedule = {
-                        let _s = obs::span("serve.ingest");
-                        ingest::parse_schedule(&src, path, 1)
-                            .map_err(|e| Response::text(400, e + "\n"))?
-                    };
-                    Ok(state
-                        .prepared
-                        .insert(digest, Arc::new(PreparedSchedule::new(schedule))))
-                }
-            }
-        }
+) -> Result<(u64, Arc<PreparedSchedule<'static>>), Response> {
+    if let Some(p) = state.prepared.get(&digest) {
+        state
+            .registry
+            .counter_add("jedule_prepared_cache_hits_total", &[], 1);
+        return Ok((digest, p));
     }
+    state
+        .registry
+        .counter_add("jedule_prepared_cache_misses_total", &[], 1);
+    let (digest, prepared, sidecar) = {
+        let _s = obs::span("serve.ingest");
+        ingest::acquire(path, 1, Some(digest)).map_err(|e| match e {
+            ingest::AcquireError::Read(m) => Response::text(404, m + "\n"),
+            ingest::AcquireError::Parse(m) => Response::text(400, m + "\n"),
+        })?
+    };
+    let prepared = state.prepared.insert(digest, Arc::new(prepared));
+    let (result, stage) = match sidecar {
+        ingest::Sidecar::Hit => ("hit", "serve.pack_sidecar_hit"),
+        ingest::Sidecar::Stale => ("stale", "serve.pack_sidecar_stale"),
+        ingest::Sidecar::Corrupt(_) => ("error", "serve.pack_sidecar_error"),
+        ingest::Sidecar::Absent => return Ok((digest, prepared)),
+    };
+    state
+        .registry
+        .counter_add("jedule_pack_sidecar_total", &[("result", result)], 1);
+    obs::count(stage, 1);
+    Ok((digest, prepared))
 }
 
 /// The one cached-response pipeline behind `/render`,
@@ -1035,7 +978,7 @@ fn cached_response(
     // access log (and times the whole pipeline as one stage).
     let _fig = obs::span_with("serve.figure", || opt_key.to_string());
 
-    let (digest, src) = digest_for(state, path)?;
+    let digest = digest_for(state, path)?;
     let etag = etag_for(digest, opt_key);
 
     // Revalidation first: a matching ETag needs no body, no cache
@@ -1066,11 +1009,13 @@ fn cached_response(
         .counter_add("jedule_render_cache_misses_total", &[], 1);
     obs::count("serve.body_cache_miss", 1);
 
-    let prepared = prepared_for(state, path, digest, src)?;
+    // The input may have changed since it was digested: the body is
+    // keyed and tagged by the digest of the bytes it was made from.
+    let (digest, prepared) = prepared_for(state, path, digest)?;
     let bytes = state
         .bodies
-        .insert(key, Arc::new(produce(digest, &prepared)));
-    Ok(Response::shared(200, content_type, bytes).with_etag(etag))
+        .insert((digest, key.1), Arc::new(produce(digest, &prepared)));
+    Ok(Response::shared(200, content_type, bytes).with_etag(etag_for(digest, opt_key)))
 }
 
 /// Extracts the required `file` parameter and resolves it under the

@@ -973,3 +973,20 @@ fn loop_generated_errors_stay_correlatable() {
     );
     server.shutdown().unwrap();
 }
+
+/// An input with no sidecar is loaded from its text and counts no
+/// sidecar outcome at all.
+#[test]
+fn input_without_sidecar_counts_no_sidecar_outcome() {
+    let (server, root, csv) = start("sidecar_absent");
+    let first = get(server.addr(), "/render?file=sched.csv");
+    assert_eq!(first.status, 200);
+    assert_eq!(first.body, cold_reference(&root, &csv));
+    let reg = server.registry();
+    assert_eq!(
+        reg.counter_value("jedule_prepared_cache_misses_total", &[]),
+        1
+    );
+    assert_eq!(reg.counter_total("jedule_pack_sidecar_total"), 0);
+    server.shutdown().unwrap();
+}
