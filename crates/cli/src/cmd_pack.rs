@@ -41,7 +41,8 @@ pub fn run(argv: &[String]) -> Result<(), String> {
         .unwrap_or_else(|| snap::sidecar_path(Path::new(&input)));
 
     if check {
-        return check_pack(&input, &out_path, digest_file(Path::new(&input))?, threads);
+        check_pack(&input, &out_path, digest_file(Path::new(&input))?, threads)?;
+        return sink.finish();
     }
 
     // One read: the stored digest describes exactly the bytes parsed.

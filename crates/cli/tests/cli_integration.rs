@@ -720,3 +720,29 @@ fn wrapped_hosts_range_fails_info() {
     assert_eq!(out.status.code(), Some(1), "{stderr}");
     assert!(stderr.contains("task \"w\""), "{stderr}");
 }
+
+/// `pack --check` reports its stages like every other command: the
+/// metrics JSON records the pack load, and `--timings` prints the tree
+/// after the verdict.
+#[test]
+fn pack_check_reports_timings_and_metrics() {
+    let dir = tmp();
+    let input = demo_schedule(&dir);
+    let inp = input.to_str().unwrap();
+    assert!(jedule(&["pack", inp]).status.success());
+    let metrics = dir.join("check.json");
+    let out = jedule(&[
+        "pack",
+        inp,
+        "--check",
+        "--timings",
+        "--metrics-json",
+        metrics.to_str().unwrap(),
+    ]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{stderr}");
+    assert!(String::from_utf8_lossy(&out.stdout).contains("fresh"));
+    assert!(stderr.contains("pack.load"), "{stderr}");
+    let json = std::fs::read_to_string(&metrics).unwrap();
+    assert!(json.contains("\"pack.load\""), "{json}");
+}
