@@ -17,7 +17,7 @@
 //! q                     quit
 //! ```
 
-use crate::args::{load_prepared, load_schedule, Args};
+use crate::args::{load_prepared, Args};
 use jedule_core::view::task_info;
 use jedule_core::{AlignMode, HitTarget, PreparedSchedule, ViewState};
 use jedule_render::{render_prepared, OutputFormat, RenderOptions};
@@ -25,6 +25,9 @@ use std::io::BufRead;
 
 pub struct Session {
     path: String,
+    /// `--pack-sidecar`: startup and every reread load through the
+    /// input's sidecar.
+    pack_sidecar: bool,
     /// The schedule plus its cached index/extent/kind bundle: every
     /// zoom/pan redraw reuses the prepared data instead of rebuilding it
     /// per frame (the whole point of the interactive mode staying fast
@@ -36,6 +39,18 @@ pub struct Session {
 }
 
 impl Session {
+    /// Loads the session's input as at startup and builds the
+    /// index/extent caches up front, so even the very first zoom or pan
+    /// is served warm.
+    fn load(path: &str, pack_sidecar: bool) -> Result<PreparedSchedule<'static>, String> {
+        let schedule = {
+            let _s = jedule_core::obs::span("ingest");
+            load_prepared(path, 1, pack_sidecar)?
+        };
+        schedule.warm();
+        Ok(schedule)
+    }
+
     fn options(&self) -> RenderOptions {
         let mut o = RenderOptions::default()
             .with_format(OutputFormat::Ascii)
@@ -149,9 +164,9 @@ pub fn execute(session: &mut Session, line: &str, out: &mut impl std::io::Write)
             // "Jedule also supports fast rereads … of the current
             // schedule file" — rerun the simulation, press r, see the
             // new schedule.
-            match load_schedule(&session.path, 1) {
+            match Session::load(&session.path, session.pack_sidecar) {
                 Ok(s) => {
-                    session.schedule = PreparedSchedule::new(s);
+                    session.schedule = s;
                     session.view = ViewState::fit(&session.schedule);
                     session.redraw(out);
                 }
@@ -233,16 +248,11 @@ pub fn run(argv: &[String]) -> Result<(), String> {
     // The collector stays installed for the whole interactive session;
     // exports are written when the session ends (q / EOF).
     let _obs = sink.arm();
-    let schedule = {
-        let _s = jedule_core::obs::span("ingest");
-        load_prepared(&input, 1, pack_sidecar)?
-    };
-    // Build the index/extent caches up front so even the very first
-    // zoom or pan is served warm.
-    schedule.warm();
+    let schedule = Session::load(&input, pack_sidecar)?;
     let view = ViewState::fit(&schedule);
     let mut session = Session {
         path: input,
+        pack_sidecar,
         schedule,
         view,
         gray: false,
@@ -278,6 +288,7 @@ mod tests {
         let view = ViewState::fit(&schedule);
         Session {
             path: "/nonexistent.jed".into(),
+            pack_sidecar: false,
             schedule,
             view,
             gray: false,

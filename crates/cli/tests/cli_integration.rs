@@ -746,3 +746,65 @@ fn pack_check_reports_timings_and_metrics() {
     let json = std::fs::read_to_string(&metrics).unwrap();
     assert!(json.contains("\"pack.load\""), "{json}");
 }
+
+/// `view --pack-sidecar` rereads (`r`) through the sidecar as startup
+/// does: a fresh sidecar is loaded again with no text parse, and a
+/// reread after the input is edited leaves a sidecar that is fresh for
+/// the edited text.
+#[test]
+fn view_reread_goes_through_the_sidecar() {
+    use std::io::{BufRead, BufReader, Write};
+    use std::process::Stdio;
+    let dir = tmp();
+    let input = demo_schedule(&dir);
+    let inp = input.to_str().unwrap();
+    assert!(jedule(&["pack", inp]).status.success());
+    let metrics = dir.join("view.json");
+    let m = metrics.to_str().unwrap();
+    let out = jedule_with_stdin(
+        &["view", inp, "--pack-sidecar", "--metrics-json", m],
+        "r\nq\n",
+    );
+    assert!(out.status.success());
+    assert!(String::from_utf8_lossy(&out.stdout).contains("window"));
+    let json = std::fs::read_to_string(&metrics).unwrap();
+    assert!(json.contains("\"pack.load\""), "{json}");
+    assert!(!json.contains("ingest.parse"), "{json}");
+
+    // Edit the input once the session has loaded it, then reread.
+    let mut child = Command::new(env!("CARGO_BIN_EXE_jedule"))
+        .args(["view", inp, "--pack-sidecar"])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("binary spawns");
+    let mut stdout = BufReader::new(child.stdout.take().expect("stdout piped"));
+    let mut line = String::new();
+    while !line.contains("(h for help)") {
+        line.clear();
+        assert!(stdout.read_line(&mut line).unwrap() > 0, "session ended");
+    }
+    let mut edited = std::fs::read(&input).unwrap();
+    edited.push(b'\n');
+    std::fs::write(&input, edited).unwrap();
+    assert!(!jedule(&["pack", inp, "--check"]).status.success());
+    child
+        .stdin
+        .as_mut()
+        .expect("stdin piped")
+        .write_all(b"r\nq\n")
+        .unwrap();
+    let out = child.wait_with_output().expect("binary exits");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let check = jedule(&["pack", inp, "--check"]);
+    assert!(
+        check.status.success(),
+        "{}",
+        String::from_utf8_lossy(&check.stderr)
+    );
+}
