@@ -808,3 +808,43 @@ fn view_reread_goes_through_the_sidecar() {
         String::from_utf8_lossy(&check.stderr)
     );
 }
+
+/// Runs `info` on `name` holding `text` and expects exit 1 (not a
+/// signal) with `message` on stderr.
+fn assert_info_rejects(name: &str, text: &str, message: &str) {
+    let dir = tmp();
+    let path = dir.join(name);
+    std::fs::write(&path, text).unwrap();
+    let out = jedule(&["info", path.to_str().unwrap()]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{name}: {stderr}");
+    assert!(stderr.contains(message), "{name}: {stderr}");
+}
+
+/// The CSV range `0-4294967295` ends past the last `u32` host index: an
+/// error, not a task with no hosts.
+#[test]
+fn wrapped_csv_hosts_range_fails_info() {
+    assert_info_rejects(
+        "wrapped.csv",
+        "cluster,0,c0,8\ntask,w,t,0,1,0:0-4294967295\n",
+        "host range \"0-4294967295\" ends past host index 4294967295",
+    );
+}
+
+/// A JSONL range that ends past `u32::MAX`, or a value above it, is an
+/// error, not a wrapped range that passes validation.
+#[test]
+fn wrapped_jsonl_hosts_range_fails_info() {
+    for hosts in ["[[4294967295,2]]", "[[4294967296,1]]"] {
+        assert_info_rejects(
+            "wrapped.jsonl",
+            &format!(
+                "{{\"rec\":\"cluster\",\"id\":0,\"name\":\"c0\",\"hosts\":8}}\n\
+                 {{\"rec\":\"task\",\"id\":\"w\",\"type\":\"t\",\"start\":0,\"end\":1,\
+                 \"allocations\":[{{\"cluster\":0,\"hosts\":{hosts}}}]}}\n"
+            ),
+            "line 2: host range",
+        );
+    }
+}

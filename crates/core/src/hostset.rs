@@ -20,6 +20,15 @@ impl HostRange {
         HostRange { start, nb }
     }
 
+    /// `[start, start + nb)` from untrusted numbers, or `None` when its
+    /// [`end`](Self::end) would pass `u32::MAX`. Every schedule reader
+    /// builds its ranges here, so a range that would wrap or saturate
+    /// is an error instead.
+    pub fn checked(start: u64, nb: u64) -> Option<Self> {
+        let end = start.checked_add(nb)?;
+        (end <= u64::from(u32::MAX)).then(|| HostRange::new(start as u32, nb as u32))
+    }
+
     /// One-past-the-end host index.
     pub fn end(&self) -> u32 {
         self.start + self.nb
@@ -270,6 +279,24 @@ mod tests {
         assert_eq!(s.min_host(), Some(0));
         assert_eq!(s.max_host(), Some(7));
         assert_eq!(s.to_string(), "0-7");
+    }
+
+    #[test]
+    fn checked_ranges_end_at_u32_max_at_most() {
+        let max = u64::from(u32::MAX);
+        assert_eq!(HostRange::checked(2, 3), Some(HostRange::new(2, 3)));
+        assert_eq!(
+            HostRange::checked(max - 1, 1),
+            Some(HostRange::new(u32::MAX - 1, 1))
+        );
+        assert_eq!(
+            HostRange::checked(0, max),
+            Some(HostRange::new(0, u32::MAX))
+        );
+        assert_eq!(HostRange::checked(max, 2), None);
+        assert_eq!(HostRange::checked(0, max + 1), None);
+        assert_eq!(HostRange::checked(max + 1, 0), None);
+        assert_eq!(HostRange::checked(u64::MAX, 1), None);
     }
 
     #[test]

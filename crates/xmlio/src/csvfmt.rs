@@ -26,26 +26,28 @@ pub fn parse_hostlist(expr: &str) -> Result<HostSet, IoError> {
         if part.is_empty() {
             continue;
         }
-        match part.split_once('-') {
-            Some((a, b)) => {
-                let lo: u32 = a
-                    .trim()
-                    .parse()
-                    .map_err(|_| IoError::number("host range", part))?;
-                let hi: u32 = b
-                    .trim()
-                    .parse()
-                    .map_err(|_| IoError::number("host range", part))?;
-                if hi < lo {
-                    return Err(IoError::format(format!("descending host range {part:?}")));
-                }
-                set.insert_range(HostRange::new(lo, hi - lo + 1));
-            }
+        let num = |s: &str, what| {
+            s.trim()
+                .parse::<u32>()
+                .map_err(|_| IoError::number(what, part))
+        };
+        let (lo, hi) = match part.split_once('-') {
+            Some((a, b)) => (num(a, "host range")?, num(b, "host range")?),
             None => {
-                let h: u32 = part.parse().map_err(|_| IoError::number("host", part))?;
-                set.insert_range(HostRange::new(h, 1));
+                let h = num(part, "host")?;
+                (h, h)
             }
+        };
+        if hi < lo {
+            return Err(IoError::format(format!("descending host range {part:?}")));
         }
+        let range = HostRange::checked(lo.into(), u64::from(hi - lo) + 1).ok_or_else(|| {
+            IoError::format(format!(
+                "host range {part:?} ends past host index {}",
+                u32::MAX
+            ))
+        })?;
+        set.insert_range(range);
     }
     Ok(set)
 }
@@ -231,6 +233,20 @@ task,t3,computation,3,4,1:0+2-3
     #[test]
     fn descending_range_rejected() {
         assert!(parse_hostlist("5-2").is_err());
+    }
+
+    /// Host index `u32::MAX` would make the range end wrap, so it is an
+    /// error in either form; the index below it is the last one.
+    #[test]
+    fn ranges_past_u32_max_rejected() {
+        for expr in ["0-4294967295", "4294967295", "1+7-4294967295"] {
+            let err = parse_hostlist(expr).unwrap_err().to_string();
+            assert!(err.contains("ends past host index 4294967295"), "{err}");
+        }
+        assert_eq!(
+            parse_hostlist("4294967294").unwrap(),
+            HostSet::contiguous(u32::MAX - 1, 1)
+        );
     }
 
     #[test]

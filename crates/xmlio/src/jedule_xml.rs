@@ -386,12 +386,12 @@ impl ConfState {
         let start = parse_u32("hosts start", start).map_err(plain)?;
         let nb = require(attrs, "hosts", "nb").map_err(plain)?;
         let nb = parse_u32("hosts nb", nb).map_err(plain)?;
-        if start.checked_add(nb).is_none() {
+        let range = HostRange::checked(start.into(), nb.into()).ok_or_else(|| {
             let max = u32::MAX;
             let msg = format!("<hosts start=\"{start}\" nb=\"{nb}\"> ends past host index {max}");
-            return Err(ConfError::Quoting(msg));
-        }
-        self.ranges.push(HostRange::new(start, nb));
+            ConfError::Quoting(msg)
+        })?;
+        self.ranges.push(range);
         Ok(())
     }
 

@@ -97,7 +97,13 @@ fn generic_record(line: &str, ln: usize) -> Result<Record, IoError> {
                             "line {ln}: negative host range values"
                         )));
                     }
-                    hosts.insert_range(HostRange::new(start as u32, nb as u32));
+                    let range = HostRange::checked(start as u64, nb as u64).ok_or_else(|| {
+                        IoError::format(format!(
+                            "line {ln}: host range [{start}, {nb}] ends past host index {}",
+                            u32::MAX
+                        ))
+                    })?;
+                    hosts.insert_range(range);
                 }
                 task.allocations.push(Allocation::new(cluster, hosts));
             }
@@ -381,7 +387,8 @@ mod fast {
         }
 
         /// `[[start, nb], ...]` into a [`HostSet`], bailing on negative
-        /// values and on anything but two-number pairs.
+        /// values, on ranges past `u32::MAX` and on anything but
+        /// two-number pairs.
         fn host_ranges(&mut self) -> Option<HostSet> {
             if !self.eat(b'[') {
                 return None;
@@ -405,7 +412,7 @@ mod fast {
                 if start < 0.0 || nb < 0.0 {
                     return None;
                 }
-                hosts.insert_range(HostRange::new(start as u32, nb as u32));
+                hosts.insert_range(HostRange::checked(start as u64, nb as u64)?);
                 if self.eat(b',') {
                     continue;
                 }
@@ -680,6 +687,29 @@ mod tests {
         let line = r#"{"rec":"cluster","id":0,"hosts":4}
 {"rec":"task","id":"t","type":"x","start":0,"end":1,"allocations":[{"cluster":0,"hosts":[[-1,2]]}]}"#;
         assert!(read_schedule_jsonl(line).is_err());
+    }
+
+    /// A range that ends past `u32::MAX`, or a value above it, is an
+    /// error on both paths rather than a wrapped or saturated range;
+    /// the last host index itself still parses alike on both.
+    #[test]
+    fn host_ranges_past_u32_max_rejected() {
+        let task = |hosts: &str| {
+            format!(
+                r#"{{"rec":"task","id":"t","type":"x","start":0,"end":1,"allocations":[{{"cluster":0,"hosts":{hosts}}}]}}"#
+            )
+        };
+        for hosts in ["[[4294967295,2]]", "[[4294967296,0]]", "[[0,1e30]]"] {
+            let line = task(hosts);
+            let err = generic_record(&line, 3).unwrap_err().to_string();
+            assert!(
+                err.contains("line 3") && err.contains("ends past host index 4294967295"),
+                "{err}"
+            );
+            assert!(fast::record(&line).is_none(), "{line}");
+        }
+        let line = task("[[4294967294,1]]");
+        assert_eq!(fast::record(&line), Some(generic_record(&line, 1).unwrap()));
     }
 
     /// Every line our writer emits takes the fast path, and the record
