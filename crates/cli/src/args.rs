@@ -46,8 +46,8 @@ pub fn load_schedule(path: &str, threads: usize) -> Result<Schedule, String> {
 /// Loads the input of `render`, `view` and `compare`: without
 /// `pack_sidecar` a plain parse (no digest, no probe); with it,
 /// [`acquire`], rewriting a sidecar that missed with the digest of the
-/// text parsed. Only a corrupt sidecar is named on stderr, and no
-/// sidecar ever fails the command.
+/// text parsed. A stale sidecar is replaced silently, a corrupt one is
+/// named on stderr first, and no sidecar ever fails the command.
 pub fn load_prepared(
     path: &str,
     threads: usize,

@@ -54,8 +54,8 @@ pub fn acquire(
 ) -> Result<(u64, PreparedSchedule<'static>, Sidecar), AcquireError> {
     let pack = snap::sidecar_path(path);
     let sidecar = if pack.exists() {
-        let digest = || digest.map_or_else(|| digest_file(path), Ok);
-        match snap::load_if_fresh_with(&pack, digest, threads).map_err(AcquireError::Read)? {
+        let current = || digest.map_or_else(|| digest_file(path), Ok);
+        match snap::load_if_fresh_with(&pack, current, threads).map_err(AcquireError::Read)? {
             Ok(Some(p)) => {
                 return Ok((
                     p.source_digest,
