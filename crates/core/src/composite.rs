@@ -15,7 +15,7 @@ use crate::columns::TaskColumns;
 use crate::hostset::HostSet;
 use crate::index::ScheduleIndex;
 use crate::model::{Allocation, Schedule, Task};
-use crate::parallel::{chunk_bounds, effective_threads};
+use crate::parallel::{chunk_bounds, effective_threads, map_chunks};
 use std::collections::HashMap;
 
 /// The type name assigned to generated composite tasks.
@@ -135,33 +135,16 @@ where
             .filter(|(_, tasks)| tasks.len() >= 2)
             .map(|(host, tasks)| (host as u32, tasks.as_slice()))
             .collect();
-        let workers = effective_threads(opts.threads).min(work.len()).max(1);
-
-        let swept: Vec<Vec<(u32, Vec<Segment>)>> = if workers <= 1 {
-            vec![work
-                .iter()
-                .map(|&(host, tasks)| (host, host_overlaps(span_of, tasks, opts)))
-                .collect()]
-        } else {
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = chunk_bounds(work.len(), workers)
-                    .into_iter()
-                    .map(|(lo, hi)| {
-                        let items = &work[lo..hi];
-                        scope.spawn(move || {
-                            items
-                                .iter()
-                                .map(|&(host, tasks)| (host, host_overlaps(span_of, tasks, opts)))
-                                .collect::<Vec<_>>()
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("composite sweep worker panicked"))
-                    .collect()
-            })
-        };
+        let swept = map_chunks(
+            "composite.sweep",
+            &chunk_bounds(work.len(), effective_threads(opts.threads)),
+            |&(lo, hi)| {
+                work[lo..hi]
+                    .iter()
+                    .map(|&(host, tasks)| (host, host_overlaps(span_of, tasks, opts)))
+                    .collect::<Vec<_>>()
+            },
+        );
 
         let mut groups: HashMap<SegKey, Vec<u32>> = HashMap::new();
         for (host, segs) in swept.into_iter().flatten() {

@@ -10,7 +10,12 @@
 //! `JEDULE_THREADS` environment variable (read once per process). CI
 //! uses it to run the whole test suite through both the sequential and
 //! the parallel code paths without touching any call site.
+//!
+//! [`map_chunks`] is the one fan-out: every parallel stage maps its
+//! chunks through it, so worker threads, their trace spans and the
+//! ordered join are written once.
 
+use crate::obs;
 use std::sync::OnceLock;
 
 fn auto_threads() -> usize {
@@ -38,6 +43,71 @@ pub fn effective_threads(requested: usize) -> usize {
     } else {
         auto_threads()
     }
+}
+
+/// Workers for a stage that splits an image of `rows` pixel rows into
+/// bands. An explicit `threads` is honored, capped so every band holds a
+/// row; auto mode (`0`) uses at most one worker per 64 rows, below which
+/// a band costs more to set up than it saves.
+pub fn row_workers(threads: usize, rows: usize) -> usize {
+    if threads == 0 {
+        effective_threads(0).min(rows / 64)
+    } else {
+        threads.min(rows)
+    }
+    .max(1)
+}
+
+/// Below this many bytes, auto mode keeps a line-oriented reader
+/// sequential: chunking, spawning and splicing would cost more than the
+/// workers save.
+const PARALLEL_MIN_BYTES: usize = 1 << 20;
+
+/// Workers for a line-oriented reader over `len` bytes of text: one in
+/// auto mode (`0`) below 1 MiB, else [`effective_threads`]. An explicit
+/// `threads ≥ 2` always chunks, which keeps the parallel path testable
+/// on tiny inputs.
+pub fn text_workers(threads: usize, len: usize) -> usize {
+    if threads == 0 && len < PARALLEL_MIN_BYTES {
+        1
+    } else {
+        effective_threads(threads)
+    }
+}
+
+/// Maps `f` over `chunks` and returns the results in chunk order. A
+/// single chunk runs inline on the calling thread. More chunks run on one
+/// scoped worker each; every worker is attached to the caller's
+/// [`obs`] collector inside a span named `span`. A worker's panic
+/// resumes on the caller.
+pub fn map_chunks<T, R, F>(span: &'static str, chunks: &[T], f: F) -> Vec<R>
+where
+    T: Sync,
+    R: Send,
+    F: Fn(&T) -> R + Sync,
+{
+    if chunks.len() <= 1 {
+        return chunks.iter().map(f).collect();
+    }
+    let handle = obs::handle();
+    std::thread::scope(|s| {
+        let workers: Vec<_> = chunks
+            .iter()
+            .enumerate()
+            .map(|(i, chunk)| {
+                let (handle, f) = (&handle, &f);
+                s.spawn(move || {
+                    let _att = handle.attach();
+                    let _sp = obs::span_with(span, || format!("chunk {i}"));
+                    f(chunk)
+                })
+            })
+            .collect();
+        workers
+            .into_iter()
+            .map(|w| w.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+            .collect()
+    })
 }
 
 /// Splits `n` work items into at most `workers` contiguous chunk bounds
@@ -120,6 +190,69 @@ mod tests {
         assert_eq!(effective_threads(1), 1);
         assert_eq!(effective_threads(7), 7);
         assert!(effective_threads(0) >= 1);
+    }
+
+    #[test]
+    fn map_chunks_keeps_chunk_order() {
+        let chunks: Vec<usize> = (0..7).collect();
+        let out = map_chunks("test.chunk", &chunks, |&i| {
+            // Later chunks finish first.
+            std::thread::sleep(std::time::Duration::from_millis((7 - i) as u64));
+            i * 10
+        });
+        assert_eq!(out, vec![0, 10, 20, 30, 40, 50, 60]);
+        assert!(map_chunks("test.chunk", &[] as &[usize], |&i| i).is_empty());
+    }
+
+    #[test]
+    fn single_chunk_runs_inline_without_a_span() {
+        let col = obs::Collector::new();
+        let _g = col.install();
+        let caller = std::thread::current().id();
+        let out = map_chunks("test.chunk", &[5], |&x| (x, std::thread::current().id()));
+        assert_eq!(out, vec![(5, caller)]);
+        assert!(col.report().spans.is_empty());
+    }
+
+    #[test]
+    fn worker_panic_reaches_the_caller() {
+        let caught = std::panic::catch_unwind(|| {
+            map_chunks("test.chunk", &[1, 2, 3], |&x| {
+                if x == 2 {
+                    panic!("chunk two failed");
+                }
+                x
+            })
+        })
+        .unwrap_err();
+        assert_eq!(caught.downcast_ref::<&str>(), Some(&"chunk two failed"));
+    }
+
+    #[test]
+    fn worker_spans_land_in_the_callers_collector() {
+        let col = obs::Collector::new();
+        let _g = col.install();
+        let caller = std::thread::current().id();
+        let threads = map_chunks("test.chunk", &[0, 1, 2], |_| std::thread::current().id());
+        assert!(threads.iter().all(|&t| t != caller));
+        let rep = col.report();
+        let workers: Vec<_> = rep
+            .spans
+            .iter()
+            .filter(|s| s.name == "test.chunk")
+            .collect();
+        assert_eq!(workers.len(), 3);
+    }
+
+    #[test]
+    fn worker_rules() {
+        assert_eq!(row_workers(3, 2), 2);
+        assert_eq!(row_workers(1, 1000), 1);
+        assert_eq!(row_workers(0, 63), 1);
+        assert_eq!(row_workers(0, 0), 1);
+        assert_eq!(text_workers(0, PARALLEL_MIN_BYTES - 1), 1);
+        assert_eq!(text_workers(2, 10), 2);
+        assert_eq!(text_workers(0, PARALLEL_MIN_BYTES), effective_threads(0));
     }
 
     #[test]

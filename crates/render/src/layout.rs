@@ -51,7 +51,7 @@ use crate::options::{LodMode, RenderOptions};
 use crate::scene::{text_width, Anchor, Scene};
 use crate::ticks;
 use jedule_core::composite::{ATTR_TYPES, COMPOSITE_KIND};
-use jedule_core::parallel::chunk_bounds;
+use jedule_core::parallel::{chunk_bounds, map_chunks};
 use jedule_core::{
     effective_threads, Cluster, Color, ColorPair, PreparedSchedule, Schedule, ScheduleIndex, Task,
     TaskColumns, TimeExtent,
@@ -432,8 +432,8 @@ fn draw_profile(
 /// mean task color faded toward the white panel background by how full
 /// the cell is.
 ///
-/// A grid covers either a whole panel ([`LodGrid::new`]) or one
-/// contiguous **row band** of it ([`LodGrid::band`]). Bands are how
+/// A grid covers one contiguous **row band** of a panel
+/// ([`LodGrid::band`]); one band of all rows is the whole panel. Bands are how
 /// density binning is parallelized without losing determinism: every
 /// worker walks the aggregated-task list in task order, skips each task
 /// with no segment in its rows ([`LodGrid::holds`]) before computing
@@ -460,22 +460,13 @@ struct LodGrid {
 }
 
 impl LodGrid {
-    fn new(hosts: u32, plot_w: f64) -> Self {
-        let rows = hosts.max(1) as usize;
-        LodGrid::with_rows(0, rows, rows, plot_w)
-    }
-
     /// A band covering global rows `r0..r1` of a `hosts`-row panel.
     fn band(hosts: u32, plot_w: f64, r0: usize, r1: usize) -> Self {
-        LodGrid::with_rows(r0, r1 - r0, hosts.max(1) as usize, plot_w)
-    }
-
-    fn with_rows(row0: usize, rows: usize, total_rows: usize, plot_w: f64) -> Self {
-        let cols = (plot_w.ceil() as usize).max(1);
+        let (rows, cols) = (r1 - r0, (plot_w.ceil() as usize).max(1));
         LodGrid {
-            row0,
+            row0: r0,
             rows,
-            total_rows,
+            total_rows: hosts.max(1) as usize,
             cols,
             cells: vec![[0.0; 4]; rows * cols],
         }
@@ -898,31 +889,28 @@ fn panel_tasks(
         (aggregated, clipped)
     };
     let n_items = cand.map_or(cols.len(), |q| q.len());
-    let workers = if n_items >= PAR_MIN_ITEMS {
-        effective_threads(opts.threads).min(n_items)
-    } else {
-        1
+    // Classification and binning fan out from PAR_MIN_ITEMS items on.
+    let workers_for = |n: usize| {
+        if n >= PAR_MIN_ITEMS {
+            effective_threads(opts.threads)
+        } else {
+            1
+        }
     };
+    let workers = workers_for(n_items);
     let (mut aggregated, mut clipped) = (0usize, 0usize);
     if workers <= 1 {
         (aggregated, clipped) = classify_chunk(0, n_items, direct, agg);
     } else {
-        let chunks = std::thread::scope(|scope| {
-            let handles: Vec<_> = chunk_bounds(n_items, workers)
-                .into_iter()
-                .map(|(lo, hi)| {
-                    scope.spawn(move || {
-                        let (mut d, mut a) = (Vec::new(), Vec::new());
-                        let counts = classify_chunk(lo, hi, &mut d, &mut a);
-                        (d, a, counts)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("layout classify worker panicked"))
-                .collect::<Vec<_>>()
-        });
+        let chunks = map_chunks(
+            "render.classify",
+            &chunk_bounds(n_items, workers),
+            |&(lo, hi)| {
+                let (mut d, mut a) = (Vec::new(), Vec::new());
+                let counts = classify_chunk(lo, hi, &mut d, &mut a);
+                (d, a, counts)
+            },
+        );
         for (d, a, (n_agg, n_clip)) in chunks {
             direct.extend_from_slice(&d);
             agg.extend_from_slice(&a);
@@ -953,40 +941,16 @@ fn panel_tasks(
                 grid.add_cols(cols, ti, cid, x - plot_x, to_x(t1) - x, fill);
             }
         };
-        let band_workers = if agg.len() >= PAR_MIN_ITEMS {
-            effective_threads(opts.threads).min(total_rows)
-        } else {
-            1
-        };
-        let bands: Vec<LodGrid> = if band_workers <= 1 {
-            let mut grid = LodGrid::new(c.hosts, plot_w);
-            deposit_all(&mut grid, agg);
-            vec![grid]
-        } else {
-            let agg: &[u32] = agg;
-            let obs_handle = jedule_core::obs::handle();
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = chunk_bounds(total_rows, band_workers)
-                    .into_iter()
-                    .map(|(r0, r1)| {
-                        let obs_handle = obs_handle.clone();
-                        scope.spawn(move || {
-                            let _att = obs_handle.attach();
-                            let _sp = jedule_core::obs::span_with("render.lod_bin", || {
-                                format!("rows {r0}..{r1}")
-                            });
-                            let mut band = LodGrid::band(c.hosts, plot_w, r0, r1);
-                            deposit_all(&mut band, agg);
-                            band
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("layout binning worker panicked"))
-                    .collect()
-            })
-        };
+        let agg: &[u32] = agg;
+        let bands = map_chunks(
+            "render.lod_bin",
+            &chunk_bounds(total_rows, workers_for(agg.len())),
+            |&(r0, r1)| {
+                let mut band = LodGrid::band(c.hosts, plot_w, r0, r1);
+                deposit_all(&mut band, agg);
+                band
+            },
+        );
         scene.stats.lod_strips += emit_bands(&bands, scene, panel, plot_x);
     }
 
