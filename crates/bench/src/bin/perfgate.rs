@@ -21,7 +21,7 @@
 //! wall-time regression per stage is 25%, overridable via
 //! `JEDULE_GATE_TOLERANCE` (a fraction, e.g. `0.4`).
 
-use jedule_core::obs::{AccessLog, AccessRecord, Collector, Registry};
+use jedule_core::obs::{metrics_json, AccessLog, AccessRecord, Collector, Registry, StageMetrics};
 use jedule_core::{PreparedSchedule, Schedule};
 use jedule_render::{render, render_prepared, LodMode, OutputFormat, RenderOptions};
 use jedule_workloads::convert::{assigned_to_schedule, workload_colormap};
@@ -263,38 +263,26 @@ fn measure() -> Gate {
 }
 
 impl Gate {
-    /// `jedule-metrics-v1`, matching `ObsReport::to_metrics_json`. The
-    /// extra `meta.*` stages record run mode and measured obs overhead
-    /// (excluded from the regression diff); they merge into the same
-    /// sorted key order as the `gate.*` stages so that baselines diff
-    /// stably across runs.
+    /// `jedule-metrics-v1` through the one obs writer; each stage's
+    /// `wall_ms` is its measured time. The extra `meta.*` stages record
+    /// run mode and measured obs overhead (excluded from the regression
+    /// diff); they merge into the same sorted key order as the `gate.*`
+    /// stages so that baselines diff stably across runs.
     fn to_metrics_json(&self) -> String {
-        use std::fmt::Write;
-        let mut stages: BTreeMap<&str, (f64, u64)> =
-            self.stages.iter().map(|(k, v)| (*k, *v)).collect();
+        let mut stages = self.stages.clone();
         stages.insert("meta.obs_overhead_pct", (self.overhead_pct.max(0.0), 1));
         stages.insert("meta.quick_mode", (if quick() { 1.0 } else { 0.0 }, 1));
-        let mut out = String::from("{\"schema\":\"jedule-metrics-v1\",\"stages\":{");
-        for (i, (name, (ms, n))) in stages.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "\"{name}\":{{\"wall_ms\":{ms:.4},\"count\":{n}}}");
-        }
-        out.push_str("},\"counters\":{");
-        let counters: BTreeMap<&str, u64> = self
-            .counters
-            .iter()
-            .map(|(k, v)| (k.as_str(), *v))
-            .collect();
-        for (i, (k, v)) in counters.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "\"{k}\":{v}");
-        }
-        out.push_str("}}\n");
-        out
+        metrics_json(
+            stages.iter().map(|(name, &(wall_ms, count))| {
+                let m = StageMetrics {
+                    wall_ms,
+                    worker_ms: None,
+                    count,
+                };
+                (*name, m)
+            }),
+            self.counters.iter().map(|(k, v)| (k.as_str(), *v)),
+        )
     }
 }
 

@@ -848,3 +848,96 @@ fn wrapped_jsonl_hosts_range_fails_info() {
         );
     }
 }
+
+/// `--timings`, `--profile` and `--metrics-json` add up at any worker
+/// count: `total` stays within the wall time measured around the
+/// process, every span lies inside its parent (worker spans nest under
+/// the stage that started them), and every stage's wall time is at most
+/// its worker time. The input is large enough that the raster, deflate
+/// and LOD band workers together outlast the process if counted twice.
+#[test]
+fn timings_and_metrics_add_up_at_any_worker_count() {
+    use jedule_xmlio::json;
+    let dir = tmp();
+    let csv = dir.join("wide.csv");
+    let mut text = String::from("cluster,0,c0,64\n");
+    for i in 0..20_000u32 {
+        let start = f64::from(i) * 0.05;
+        let _ = std::fmt::Write::write_fmt(
+            &mut text,
+            format_args!(
+                "task,t{i},k{},{start},{},0:{}\n",
+                i % 3,
+                start + 0.01,
+                i % 64
+            ),
+        );
+    }
+    std::fs::write(&csv, text).unwrap();
+    let xml = dir.join("wide.jed");
+    let (csv, xml) = (csv.to_str().unwrap(), xml.to_str().unwrap());
+    assert!(jedule(&["convert", csv, "-o", xml]).status.success());
+    assert!(jedule(&["pack", xml]).status.success());
+    let profile = dir.join("profile.json");
+    let metrics = dir.join("metrics.json");
+    let (p, m) = (profile.to_str().unwrap(), metrics.to_str().unwrap());
+    let cases: [(&str, &[&str]); 2] =
+        [("pack png", &["--pack-sidecar", "-f", "png"]), ("xml", &[])];
+    for (what, extra) in cases {
+        for j in ["1", "2"] {
+            let out_file = dir.join("out");
+            let mut args = vec!["render", xml, "-o", out_file.to_str().unwrap(), "-j", j];
+            args.extend_from_slice(extra);
+            args.extend_from_slice(&["--timings", "--profile", p, "--metrics-json", m]);
+            let t = std::time::Instant::now();
+            let out = jedule(&args);
+            let wall_ms = t.elapsed().as_secs_f64() * 1e3;
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert!(out.status.success(), "{what} -j {j}: {stderr}");
+
+            let total: f64 = stderr
+                .lines()
+                .find_map(|l| l.strip_prefix("total"))
+                .and_then(|l| l.trim().strip_suffix("ms"))
+                .and_then(|v| v.trim().parse().ok())
+                .unwrap_or_else(|| panic!("{what} -j {j}: no total in {stderr}"));
+            assert!(
+                total <= wall_ms,
+                "{what} -j {j}: total {total} ms exceeds the process wall {wall_ms} ms\n{stderr}"
+            );
+
+            let trace = json::parse(&std::fs::read_to_string(&profile).unwrap()).unwrap();
+            let events = trace.get("traceEvents").and_then(|e| e.as_arr()).unwrap();
+            let field = |ev: &json::Json, k: &str| ev.get(k).and_then(|v| v.as_f64()).unwrap();
+            let arg = |ev: &json::Json, k: &str| ev.get("args").and_then(|a| a.get(k)?.as_f64());
+            for ev in events {
+                let Some(pid) = arg(ev, "parent") else {
+                    continue;
+                };
+                let parent = events.iter().find(|e| arg(e, "id") == Some(pid)).unwrap();
+                let (s, e) = (field(ev, "ts"), field(ev, "ts") + field(ev, "dur"));
+                let (ps, pe) = (
+                    field(parent, "ts"),
+                    field(parent, "ts") + field(parent, "dur"),
+                );
+                // The trace prints microseconds with three decimals.
+                assert!(
+                    s + 0.01 >= ps && e <= pe + 0.01,
+                    "{what} -j {j}: {:?} [{s}, {e}] escapes its parent {:?} [{ps}, {pe}]",
+                    ev.get("name"),
+                    parent.get("name")
+                );
+            }
+
+            let doc = json::parse(&std::fs::read_to_string(&metrics).unwrap()).unwrap();
+            for (name, stage) in doc.get("stages").and_then(|s| s.as_obj()).unwrap() {
+                let wall = stage.get("wall_ms").and_then(|v| v.as_f64()).unwrap();
+                let worker = stage.get("worker_ms").and_then(|v| v.as_f64());
+                assert!(
+                    worker.is_some_and(|w| wall <= w),
+                    "{what} -j {j}: {name} wall {wall} ms, worker {worker:?}"
+                );
+            }
+        }
+    }
+}

@@ -17,11 +17,14 @@
 //! so instrumentation is effectively free in production renders and
 //! cannot change output bytes (property-tested).
 //!
-//! Spans are hierarchical per thread: a span opened while another is
-//! open on the same thread becomes its child. Worker threads do not
-//! inherit the parent thread's collector; parallel stages capture a
-//! [`Handle`] before spawning and [`Handle::attach`] it inside the
+//! Spans are hierarchical: a span opened while another is open on the
+//! same thread becomes its child. Worker threads do not inherit the
+//! parent thread's collector; [`crate::parallel::map_chunks`] captures a
+//! [`Handle`] before spawning and [`Handle::attach`]es it inside each
 //! worker, which keeps attribution explicit and data races impossible.
+//! The handle also carries the span open where it was captured, so a
+//! worker span nests under the stage that started it and lies inside
+//! that stage's interval.
 //!
 //! # Exporters
 //!
@@ -98,8 +101,10 @@ impl Default for Collector {
 }
 
 thread_local! {
-    /// Stack of installed collectors (innermost last).
-    static CURRENT: RefCell<Vec<Collector>> = const { RefCell::new(Vec::new()) };
+    /// Stack of installed collectors (innermost last), each with the span
+    /// a [`Handle`] carried over from another thread: the parent of a
+    /// span opened here while no span of this thread is open.
+    static CURRENT: RefCell<Vec<(Collector, Option<u32>)>> = const { RefCell::new(Vec::new()) };
     /// Stack of open spans on this thread: (collector ptr, span id).
     static OPEN: RefCell<Vec<(usize, u32)>> = const { RefCell::new(Vec::new()) };
 }
@@ -132,7 +137,11 @@ impl Collector {
     /// drops. Installs nest: the innermost wins.
     #[must_use = "dropping the guard immediately uninstalls the collector"]
     pub fn install(&self) -> InstallGuard {
-        CURRENT.with(|c| c.borrow_mut().push(self.clone()));
+        self.install_under(None)
+    }
+
+    fn install_under(&self, parent: Option<u32>) -> InstallGuard {
+        CURRENT.with(|c| c.borrow_mut().push((self.clone(), parent)));
         InstallGuard {
             ptr: self.ptr(),
             _not_send: std::marker::PhantomData,
@@ -151,11 +160,7 @@ impl Collector {
 
     fn span_inner(&self, name: &'static str, detail: Option<String>) -> SpanGuard {
         let ptr = self.ptr();
-        let parent = OPEN.with(|o| {
-            o.borrow()
-                .last()
-                .and_then(|&(p, id)| (p == ptr).then_some(id))
-        });
+        let parent = open_span(ptr);
         let id = {
             let mut st = self.inner.state.lock().unwrap();
             let id = st.next_id;
@@ -208,7 +213,7 @@ impl Drop for InstallGuard {
     fn drop(&mut self) {
         CURRENT.with(|c| {
             let mut stack = c.borrow_mut();
-            if let Some(pos) = stack.iter().rposition(|col| col.ptr() == self.ptr) {
+            if let Some(pos) = stack.iter().rposition(|(col, _)| col.ptr() == self.ptr) {
                 stack.remove(pos);
             }
         });
@@ -273,7 +278,27 @@ impl Drop for SpanGuard {
 
 /// The calling thread's current collector, if one is installed.
 pub fn current() -> Option<Collector> {
-    CURRENT.with(|c| c.borrow().last().cloned())
+    CURRENT.with(|c| c.borrow().last().map(|(col, _)| col.clone()))
+}
+
+/// The span a new span of collector `ptr` nests under: this thread's
+/// innermost open span when it belongs to that collector, else the span
+/// a [`Handle`] carried to this thread.
+fn open_span(ptr: usize) -> Option<u32> {
+    OPEN.with(|o| {
+        o.borrow()
+            .last()
+            .and_then(|&(p, id)| (p == ptr).then_some(id))
+    })
+    .or_else(|| {
+        CURRENT.with(|c| {
+            c.borrow()
+                .iter()
+                .rev()
+                .find(|(col, _)| col.ptr() == ptr)
+                .and_then(|&(_, parent)| parent)
+        })
+    })
 }
 
 /// Whether instrumentation is live on the calling thread.
@@ -306,24 +331,33 @@ pub fn count(name: &'static str, n: u64) {
     }
 }
 
-/// A sendable reference to the current collector (or to nothing), for
-/// handing instrumentation across thread spawns: capture before
-/// spawning, [`Handle::attach`] inside the worker.
+/// A sendable reference to the current collector (or to nothing) and
+/// the span open where it was taken, for handing instrumentation across
+/// thread spawns: capture before spawning, [`Handle::attach`] inside the
+/// worker.
 #[derive(Clone)]
-pub struct Handle(Option<Collector>);
+pub struct Handle(Option<(Collector, Option<u32>)>);
 
 impl Handle {
     /// Installs the referenced collector on the calling thread for the
-    /// guard's lifetime; `None` when the handle is empty (observability
-    /// was disabled where the handle was taken).
+    /// guard's lifetime; spans opened there with no open span of their
+    /// own nest under the span the handle recorded. `None` when the
+    /// handle is empty (observability was disabled where the handle was
+    /// taken).
     pub fn attach(&self) -> Option<InstallGuard> {
-        self.0.as_ref().map(Collector::install)
+        self.0
+            .as_ref()
+            .map(|(col, parent)| col.install_under(*parent))
     }
 }
 
-/// Captures the calling thread's current collector as a [`Handle`].
+/// Captures the calling thread's current collector, and the span open on
+/// it, as a [`Handle`].
 pub fn handle() -> Handle {
-    Handle(current())
+    Handle(current().map(|col| {
+        let parent = open_span(col.ptr());
+        (col, parent)
+    }))
 }
 
 /// An immutable snapshot of a collector: spans sorted by start time,
@@ -405,44 +439,40 @@ impl ObsReport {
     }
 
     /// Flat machine-readable metrics (`jedule-metrics-v1`): per stage
-    /// name the summed wall time and span count, plus every counter.
-    /// This is the schema the CI perf gate diffs against baselines.
+    /// name its wall time (the length of the union of its spans'
+    /// intervals), its worker time (their summed durations) and its span
+    /// count, plus every counter.
     pub fn to_metrics_json(&self) -> String {
-        let mut stages: BTreeMap<&'static str, (f64, u64)> = BTreeMap::new();
+        let mut stages: BTreeMap<&'static str, Vec<&SpanRecord>> = BTreeMap::new();
         for s in &self.spans {
-            let e = stages.entry(s.name).or_insert((0.0, 0));
-            e.0 += s.dur_us;
-            e.1 += 1;
+            stages.entry(s.name).or_default().push(s);
         }
-        let mut out = String::from("{\"schema\":\"jedule-metrics-v1\",\"stages\":{");
-        for (i, (name, (us, n))) in stages.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            json_string(name, &mut out);
-            let _ = write!(out, ":{{\"wall_ms\":{:.4},\"count\":{n}}}", us / 1e3);
-        }
-        out.push_str("},\"counters\":{");
-        for (i, (k, v)) in self.counters.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            json_string(k, &mut out);
-            let _ = write!(out, ":{v}");
-        }
-        out.push_str("}}\n");
-        out
+        metrics_json(
+            stages.iter().map(|(name, spans)| {
+                let (wall_us, worker_us) = wall_and_worker_us(spans);
+                (
+                    *name,
+                    StageMetrics {
+                        wall_ms: wall_us / 1e3,
+                        worker_ms: Some(worker_us / 1e3),
+                        count: spans.len() as u64,
+                    },
+                )
+            }),
+            self.counters.iter().map(|(k, v)| (k.as_str(), *v)),
+        )
     }
 
     /// Human-readable span tree (the `--timings` view). Sibling spans
-    /// with the same name aggregate into one `×N` line; each parent gets
-    /// an `(untracked)` remainder line when its children leave more than
-    /// 1 µs unaccounted, so the printed stages always sum to the printed
-    /// wall times.
+    /// with the same name aggregate into one `×N` line showing the
+    /// length of the union of their intervals, followed by their summed
+    /// worker time when they overlap. Each parent gets an `(untracked)`
+    /// line for the part of its wall time that no child covers, when
+    /// that exceeds 1 µs. `total` is the wall time of the roots.
     pub fn tree_report(&self) -> String {
         let mut out = String::new();
         let roots = self.children_of(None);
-        let total_us: f64 = roots.iter().map(|s| s.dur_us).sum();
+        let total_us = wall_and_worker_us(&roots).0;
         self.tree_level(&roots, 0, &mut out);
         if roots.len() > 1 {
             let _ = writeln!(out, "total   {:10.3} ms", total_us / 1e3);
@@ -457,47 +487,45 @@ impl ObsReport {
     }
 
     fn tree_level(&self, spans: &[&SpanRecord], depth: usize, out: &mut String) {
-        // Aggregate same-named siblings, preserving first-start order.
+        // Group same-named siblings, preserving first-start order.
         let mut order: Vec<&'static str> = Vec::new();
-        let mut agg: BTreeMap<&'static str, (f64, usize, Vec<u32>)> = BTreeMap::new();
+        let mut groups: BTreeMap<&'static str, Vec<&SpanRecord>> = BTreeMap::new();
         for s in spans {
-            let e = agg.entry(s.name).or_insert_with(|| {
-                order.push(s.name);
-                (0.0, 0, Vec::new())
-            });
-            e.0 += s.dur_us;
-            e.1 += 1;
-            e.2.push(s.id);
+            groups
+                .entry(s.name)
+                .or_insert_with(|| {
+                    order.push(s.name);
+                    Vec::new()
+                })
+                .push(s);
         }
         for name in order {
-            let (us, n, ids) = &agg[name];
-            let label = if *n > 1 {
-                format!("{name} ×{n}")
-            } else if let Some(d) = spans
-                .iter()
-                .find(|s| s.name == name)
-                .and_then(|s| s.detail.as_deref())
-            {
-                format!("{name} [{d}]")
-            } else {
-                name.to_string()
+            let group = &groups[name];
+            let (us, worker_us) = wall_and_worker_us(group);
+            let label = match (group.len(), group[0].detail.as_deref()) {
+                (1, Some(d)) => format!("{name} [{d}]"),
+                (1, None) => name.to_string(),
+                (n, _) => format!("{name} ×{n}"),
             };
             let indent = "  ".repeat(depth);
-            let _ = writeln!(
+            let _ = write!(
                 out,
                 "{indent}{label:<width$} {:10.3} ms",
                 us / 1e3,
                 width = 40usize.saturating_sub(depth * 2)
             );
-            let mut children: Vec<&SpanRecord> = Vec::new();
-            for id in ids {
-                children.extend(self.children_of(Some(*id)));
+            if worker_us - us > 1.0 {
+                let _ = write!(out, "  (worker {:.3} ms)", worker_us / 1e3);
             }
+            out.push('\n');
+            let mut children: Vec<&SpanRecord> = group
+                .iter()
+                .flat_map(|s| self.children_of(Some(s.id)))
+                .collect();
             if !children.is_empty() {
                 children.sort_by(|a, b| a.start_us.total_cmp(&b.start_us).then(a.id.cmp(&b.id)));
                 self.tree_level(&children, depth + 1, out);
-                let child_us: f64 = children.iter().map(|s| s.dur_us).sum();
-                let rest = us - child_us;
+                let rest = us - wall_and_worker_us(&children).0;
                 if rest > 1.0 {
                     let indent = "  ".repeat(depth + 1);
                     let _ = writeln!(
@@ -511,6 +539,74 @@ impl ObsReport {
             }
         }
     }
+}
+
+/// The wall time of `spans` (the length of the union of their
+/// intervals) and their worker time (the sum of their durations), in
+/// microseconds. The wall time never exceeds the worker time.
+fn wall_and_worker_us(spans: &[&SpanRecord]) -> (f64, f64) {
+    let mut intervals: Vec<(f64, f64)> = spans.iter().map(|s| (s.start_us, s.end_us())).collect();
+    intervals.sort_by(|a, b| a.0.total_cmp(&b.0));
+    let (mut wall, mut run) = (0.0, None::<(f64, f64)>);
+    for (start, end) in intervals {
+        run = match run {
+            Some((s, e)) if start <= e => Some((s, e.max(end))),
+            Some((s, e)) => {
+                wall += e - s;
+                Some((start, end))
+            }
+            None => Some((start, end)),
+        };
+    }
+    if let Some((s, e)) = run {
+        wall += e - s;
+    }
+    let worker: f64 = spans.iter().map(|s| s.dur_us).sum();
+    (wall.min(worker), worker)
+}
+
+/// One stage of a `jedule-metrics-v1` document.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct StageMetrics {
+    /// Wall time: for spans, the length of the union of their intervals;
+    /// a writer that holds only summed times writes the sum.
+    pub wall_ms: f64,
+    /// Summed span durations, when the writer holds the spans.
+    pub worker_ms: Option<f64>,
+    /// Spans or observations behind the row.
+    pub count: u64,
+}
+
+/// Writes a flat `jedule-metrics-v1` document: one object per stage and
+/// one number per counter, each in the order given (callers pass them
+/// sorted by name). [`ObsReport::to_metrics_json`], the serve
+/// [`Registry`] and the CI perf gate all write through it.
+pub fn metrics_json<'a>(
+    stages: impl IntoIterator<Item = (&'a str, StageMetrics)>,
+    counters: impl IntoIterator<Item = (&'a str, u64)>,
+) -> String {
+    let mut out = String::from("{\"schema\":\"jedule-metrics-v1\",\"stages\":{");
+    for (i, (name, m)) in stages.into_iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        json_string(name, &mut out);
+        let _ = write!(out, ":{{\"wall_ms\":{:.4}", m.wall_ms);
+        if let Some(w) = m.worker_ms {
+            let _ = write!(out, ",\"worker_ms\":{w:.4}");
+        }
+        let _ = write!(out, ",\"count\":{}}}", m.count);
+    }
+    out.push_str("},\"counters\":{");
+    for (i, (k, v)) in counters.into_iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        json_string(k, &mut out);
+        let _ = write!(out, ":{v}");
+    }
+    out.push_str("}}\n");
+    out
 }
 
 /// Minimal JSON string escaping (the exporters cannot depend on
@@ -631,6 +727,30 @@ mod tests {
         threads.dedup();
         assert_eq!(threads.len(), 3);
         assert!(workers.iter().all(|s| s.parent.is_none()));
+    }
+
+    #[test]
+    fn handle_nests_worker_spans_under_the_open_span() {
+        let col = Collector::new();
+        let _g = col.install();
+        let stage = span("stage");
+        let stage_id = stage.id();
+        let h = handle();
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                let _att = h.attach();
+                let _w = span("worker");
+                let _inner = span("inner");
+            });
+        });
+        drop(stage);
+        let rep = col.report();
+        let find = |name| rep.spans.iter().find(|s| s.name == name).unwrap();
+        let (stage, worker, inner) = (find("stage"), find("worker"), find("inner"));
+        assert_eq!(worker.parent, stage_id);
+        assert_ne!(worker.thread, stage.thread);
+        assert_eq!(inner.parent, Some(worker.id));
+        assert!(worker.start_us >= stage.start_us && worker.end_us() <= stage.end_us());
     }
 
     #[test]

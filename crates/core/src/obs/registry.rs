@@ -22,7 +22,7 @@
 //! service are far below contention territory, and a single lock keeps
 //! cross-metric snapshots consistent.
 
-use super::ObsReport;
+use super::{ObsReport, StageMetrics};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::{Arc, Mutex};
@@ -384,10 +384,15 @@ impl Registry {
     /// directly; both sections are emitted in sorted key order.
     pub fn to_metrics_json(&self) -> String {
         let t = self.inner.lock().unwrap();
-        let mut stages: BTreeMap<String, (f64, u64)> = BTreeMap::new();
+        let mut stages: BTreeMap<String, StageMetrics> = BTreeMap::new();
         for (name, series) in &t.histograms {
             for (labels, h) in series {
-                stages.insert(series_key(name, labels), (h.sum * 1e3, h.count));
+                let m = StageMetrics {
+                    wall_ms: h.sum * 1e3,
+                    worker_ms: None,
+                    count: h.count,
+                };
+                stages.insert(series_key(name, labels), m);
             }
         }
         let mut counters: BTreeMap<String, u64> = BTreeMap::new();
@@ -396,24 +401,10 @@ impl Registry {
                 counters.insert(series_key(name, labels), *v);
             }
         }
-        let mut out = String::from("{\"schema\":\"jedule-metrics-v1\",\"stages\":{");
-        for (i, (name, (ms, n))) in stages.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            super::json_string(name, &mut out);
-            let _ = write!(out, ":{{\"wall_ms\":{ms:.4},\"count\":{n}}}");
-        }
-        out.push_str("},\"counters\":{");
-        for (i, (name, v)) in counters.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            super::json_string(name, &mut out);
-            let _ = write!(out, ":{v}");
-        }
-        out.push_str("}}\n");
-        out
+        super::metrics_json(
+            stages.iter().map(|(k, m)| (k.as_str(), *m)),
+            counters.iter().map(|(k, v)| (k.as_str(), *v)),
+        )
     }
 }
 

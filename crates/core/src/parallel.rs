@@ -78,8 +78,9 @@ pub fn text_workers(threads: usize, len: usize) -> usize {
 /// Maps `f` over `chunks` and returns the results in chunk order. A
 /// single chunk runs inline on the calling thread. More chunks run on one
 /// scoped worker each; every worker is attached to the caller's
-/// [`obs`] collector inside a span named `span`. A worker's panic
-/// resumes on the caller.
+/// [`obs`] collector inside a span named `span`, which nests under the
+/// span open where `map_chunks` was called. A worker's panic resumes on
+/// the caller.
 pub fn map_chunks<T, R, F>(span: &'static str, chunks: &[T], f: F) -> Vec<R>
 where
     T: Sync,
@@ -232,8 +233,11 @@ mod tests {
     fn worker_spans_land_in_the_callers_collector() {
         let col = obs::Collector::new();
         let _g = col.install();
+        let stage = obs::span("stage");
+        let stage_id = stage.id();
         let caller = std::thread::current().id();
         let threads = map_chunks("test.chunk", &[0, 1, 2], |_| std::thread::current().id());
+        drop(stage);
         assert!(threads.iter().all(|&t| t != caller));
         let rep = col.report();
         let workers: Vec<_> = rep
@@ -242,6 +246,7 @@ mod tests {
             .filter(|s| s.name == "test.chunk")
             .collect();
         assert_eq!(workers.len(), 3);
+        assert!(workers.iter().all(|s| s.parent == stage_id));
     }
 
     #[test]

@@ -105,49 +105,77 @@ proptest! {
     }
 
     /// The exported Chrome trace is well-formed JSON, every span's
-    /// parent exists, and children lie within their parent's interval
-    /// on the same thread.
+    /// parent exists, and children lie within their parent's interval:
+    /// on the same thread at one worker, and also across threads at two,
+    /// where raster and deflate bands nest under the stage that started
+    /// them.
     #[test]
     fn exported_trace_is_wellformed_and_nested(s in arb_schedule(16)) {
-        let col = Collector::new();
-        {
-            let _g = col.install();
-            let prep = PreparedSchedule::new(s);
-            prep.warm();
-            let mut opts = RenderOptions::default().with_format(OutputFormat::Png);
-            opts.threads = 1;
-            jedule::render::render_prepared(&prep, &opts);
+        for threads in [1, 2] {
+            check_trace_nesting(&s, threads);
         }
-        let report = col.report();
-        let doc = jedule::xmlio::json::parse(&report.to_chrome_trace()).unwrap();
-        let events = doc.get("traceEvents").and_then(|e| e.as_arr()).unwrap();
-        prop_assert_eq!(events.len(), report.spans.len());
-        for ev in events {
-            prop_assert_eq!(ev.get("ph").and_then(|p| p.as_str()), Some("X"));
-            prop_assert!(ev.get("ts").and_then(|t| t.as_f64()).is_some());
-            prop_assert!(ev.get("dur").and_then(|d| d.as_f64()).unwrap() >= 0.0);
-            prop_assert!(ev.get("name").and_then(|n| n.as_str()).is_some());
-        }
-        // Nesting, on the span records themselves (the trace mirrors
-        // them one-to-one, as asserted above).
-        const SLACK_US: f64 = 1.0; // sub-µs clock granularity
-        for span in &report.spans {
-            let Some(pid) = span.parent else { continue };
-            let parent = report.find(pid).expect("parent span exists");
+    }
+}
+
+fn check_trace_nesting(s: &Schedule, threads: usize) {
+    let col = Collector::new();
+    {
+        let _g = col.install();
+        let prep = PreparedSchedule::borrowed(s);
+        prep.warm();
+        let mut opts = RenderOptions::default().with_format(OutputFormat::Png);
+        opts.threads = threads;
+        jedule::render::render_prepared(&prep, &opts);
+    }
+    let report = col.report();
+    let doc = jedule::xmlio::json::parse(&report.to_chrome_trace()).unwrap();
+    let events = doc.get("traceEvents").and_then(|e| e.as_arr()).unwrap();
+    prop_assert_eq!(events.len(), report.spans.len());
+    for ev in events {
+        prop_assert_eq!(ev.get("ph").and_then(|p| p.as_str()), Some("X"));
+        prop_assert!(ev.get("ts").and_then(|t| t.as_f64()).is_some());
+        prop_assert!(ev.get("dur").and_then(|d| d.as_f64()).unwrap() >= 0.0);
+        prop_assert!(ev.get("name").and_then(|n| n.as_str()).is_some());
+    }
+    // Nesting, on the span records themselves (the trace mirrors
+    // them one-to-one, as asserted above).
+    const SLACK_US: f64 = 1.0; // sub-µs clock granularity
+    let mut cross_thread = 0;
+    for span in &report.spans {
+        let Some(pid) = span.parent else { continue };
+        let parent = report.find(pid).expect("parent span exists");
+        // The bundle's composite sweep runs on the machine's cores
+        // whatever `threads` says, so its workers nest across threads
+        // even at one render worker.
+        if threads == 1 && span.name != "composite.sweep" {
             prop_assert_eq!(parent.thread, span.thread, "parents are per-thread");
-            prop_assert!(span.start_us + SLACK_US >= parent.start_us,
-                "child {} starts before parent {}", span.name, parent.name);
-            prop_assert!(span.end_us() <= parent.end_us() + SLACK_US,
-                "child {} ends after parent {}", span.name, parent.name);
         }
-        // The metrics view agrees with the span records.
-        let metrics = jedule::xmlio::json::parse(&report.to_metrics_json()).unwrap();
-        let render_ms = metrics
-            .get("stages").and_then(|st| st.get("render"))
-            .and_then(|r| r.get("wall_ms")).and_then(|w| w.as_f64())
-            .unwrap();
-        // wall_ms is serialized with 4 decimals; allow that rounding.
-        prop_assert!((render_ms - report.stage_total_ms("render")).abs() < 1e-3);
+        cross_thread += usize::from(parent.thread != span.thread);
+        prop_assert!(
+            span.start_us + SLACK_US >= parent.start_us,
+            "child {} starts before parent {}",
+            span.name,
+            parent.name
+        );
+        prop_assert!(
+            span.end_us() <= parent.end_us() + SLACK_US,
+            "child {} ends after parent {}",
+            span.name,
+            parent.name
+        );
+    }
+    // The metrics view agrees with the span records.
+    let metrics = jedule::xmlio::json::parse(&report.to_metrics_json()).unwrap();
+    let render_ms = metrics
+        .get("stages")
+        .and_then(|st| st.get("render"))
+        .and_then(|r| r.get("wall_ms"))
+        .and_then(|w| w.as_f64())
+        .unwrap();
+    // wall_ms is serialized with 4 decimals; allow that rounding.
+    prop_assert!((render_ms - report.stage_total_ms("render")).abs() < 1e-3);
+    if threads > 1 {
+        prop_assert!(cross_thread > 0, "no worker span nested across threads");
     }
 }
 
