@@ -768,7 +768,30 @@ fn draw_panel_composites(
             .map(|(_, v)| v.split('+').collect())
             .unwrap_or_default();
         let pair = opts.colormap.resolve_composite(types);
-        draw_task_rects(scene, comp, cluster, panel, opts, ext, to_x, pair);
+        // Clip to the panel extent (zooming drops invisible tasks). A
+        // zero-duration task is kept only while it touches the window —
+        // strictly outside it must not leave a sliver at the window edge.
+        let t0 = comp.start.max(ext.start);
+        let t1 = comp.end.min(ext.end);
+        if t1 < t0 || (t1 <= t0 && comp.duration() > 0.0) {
+            continue;
+        }
+        let x = to_x(t0);
+        let ranges = comp
+            .allocations
+            .iter()
+            .filter(|a| a.cluster == cluster)
+            .flat_map(|a| a.hosts.ranges().iter().map(|r| (r.start, r.nb)));
+        let label = opts.show_labels.then_some(comp.id.as_str());
+        emit_task_rects(
+            scene,
+            panel,
+            opts,
+            (x, (to_x(t1) - x).max(0.5)),
+            ranges,
+            label,
+            pair,
+        );
     }
 }
 
@@ -966,108 +989,59 @@ fn panel_tasks(
         (cols.seg_clusters(), cols.seg_row0(), cols.seg_nrows());
     for &ti in direct.iter() {
         let ti = ti as usize;
-        let pair = kt.pairs[kt.ids[ti] as usize];
         let t0 = starts[ti].max(ext.start);
-        let t1 = ends[ti].min(ext.end);
         let x = to_x(t0);
-        let w = (to_x(t1) - x).max(0.5);
-        for si in cols.seg_range(ti) {
-            if seg_clusters[si] != cid {
-                continue;
-            }
-            let ry = panel.y + f64::from(seg_row0[si]) * panel.row_h;
-            let rh = f64::from(seg_nrows[si]) * panel.row_h;
-            scene.rect_stroked(
-                x,
-                ry,
-                w,
-                rh,
-                pair.bg,
-                pair.bg.to_grayscale().contrasting_fg(),
-            );
-            if opts.show_labels {
-                let cfg = &opts.colormap.config;
-                let id = prep.task_id(ti);
-                let mut size = cfg.font_size_label.min(rh - 2.0);
-                while size >= cfg.min_font_size_label && text_width(id, size) > w - 4.0 {
-                    size -= 1.0;
-                }
-                if size >= cfg.min_font_size_label && rh >= size {
-                    scene.text(
-                        x + w / 2.0,
-                        ry + rh / 2.0 + size * 0.4,
-                        size,
-                        id.to_string(),
-                        pair.fg,
-                        Anchor::Middle,
-                    );
-                }
-            }
-        }
+        let w = (to_x(ends[ti].min(ext.end)) - x).max(0.5);
+        let ranges = cols
+            .seg_range(ti)
+            .filter(|&si| seg_clusters[si] == cid)
+            .map(|si| (seg_row0[si], seg_nrows[si]));
+        let label = opts.show_labels.then(|| prep.task_id(ti));
+        let pair = kt.pairs[kt.ids[ti] as usize];
+        emit_task_rects(scene, panel, opts, (x, w), ranges, label, pair);
     }
     scene.stats.lod_direct += direct.len();
 }
 
-/// Draws one task's rectangles (one per contiguous host range on
-/// `cluster`) and its label when it fits.
-#[allow(clippy::too_many_arguments)]
-fn draw_task_rects(
+/// Strokes one task's rectangle from `x` over `w` pixels for each host
+/// range `(first row, rows)`, and centers `label` in each when it fits.
+/// The label shrinks to fit, but never below the configured minimum font
+/// size; below that it is omitted (the paper's `min_fontsize_label`).
+fn emit_task_rects(
     scene: &mut Scene,
-    task: &Task,
-    cluster: u32,
     panel: &Panel,
     opts: &RenderOptions,
-    ext: &TimeExtent,
-    to_x: impl Fn(f64) -> f64,
+    (x, w): (f64, f64),
+    ranges: impl Iterator<Item = (u32, u32)>,
+    label: Option<&str>,
     pair: ColorPair,
 ) {
-    // Clip to the panel extent (zooming drops invisible tasks). A
-    // zero-duration task is kept only while it touches the window —
-    // strictly outside it must not leave a sliver at the window edge.
-    let t0 = task.start.max(ext.start);
-    let t1 = task.end.min(ext.end);
-    if t1 < t0 || (t1 <= t0 && task.duration() > 0.0) {
-        return;
-    }
-    let x = to_x(t0);
-    let w = (to_x(t1) - x).max(0.5);
-
-    for a in &task.allocations {
-        if a.cluster != cluster {
-            continue;
+    for (row0, nrows) in ranges {
+        let ry = panel.y + f64::from(row0) * panel.row_h;
+        let rh = f64::from(nrows) * panel.row_h;
+        scene.rect_stroked(
+            x,
+            ry,
+            w,
+            rh,
+            pair.bg,
+            pair.bg.to_grayscale().contrasting_fg(),
+        );
+        let Some(id) = label else { continue };
+        let cfg = &opts.colormap.config;
+        let mut size = cfg.font_size_label.min(rh - 2.0);
+        while size >= cfg.min_font_size_label && text_width(id, size) > w - 4.0 {
+            size -= 1.0;
         }
-        for r in a.hosts.ranges() {
-            let ry = panel.y + f64::from(r.start) * panel.row_h;
-            let rh = f64::from(r.nb) * panel.row_h;
-            scene.rect_stroked(
-                x,
-                ry,
-                w,
-                rh,
-                pair.bg,
-                pair.bg.to_grayscale().contrasting_fg(),
+        if size >= cfg.min_font_size_label && rh >= size {
+            scene.text(
+                x + w / 2.0,
+                ry + rh / 2.0 + size * 0.4,
+                size,
+                id.to_string(),
+                pair.fg,
+                Anchor::Middle,
             );
-
-            if opts.show_labels {
-                let cfg = &opts.colormap.config;
-                // Shrink the label to fit, but never below the configured
-                // minimum font size — below that, omit it (paper's
-                // min_fontsize_label knob).
-                let mut size = cfg.font_size_label.min(rh - 2.0);
-                while size >= cfg.min_font_size_label && text_width(&task.id, size) > w - 4.0 {
-                    size -= 1.0;
-                }
-                if size >= cfg.min_font_size_label && rh >= size {
-                    scene.text(
-                        x + w / 2.0,
-                        ry + rh / 2.0 + size * 0.4,
-                        size,
-                        task.id.clone(),
-                        pair.fg,
-                        Anchor::Middle,
-                    );
-                }
-            }
         }
     }
 }

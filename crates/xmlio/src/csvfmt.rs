@@ -130,8 +130,11 @@ fn csv_record(raw: &str, ln: usize) -> Result<Option<Record>, IoError> {
                     .trim()
                     .parse()
                     .map_err(|_| ctx("bad allocation cluster id"))?;
-                task.allocations
-                    .push(Allocation::new(cluster, parse_hostlist(hl)?));
+                let hosts = parse_hostlist(hl).map_err(|e| match e {
+                    IoError::Format(msg) => ctx(&msg),
+                    e => ctx(&e.to_string()),
+                })?;
+                task.allocations.push(Allocation::new(cluster, hosts));
             }
             Ok(Some(Record::Task(task)))
         }
@@ -228,6 +231,18 @@ task,t3,computation,3,4,1:0+2-3
     fn bad_lines_report_line_numbers() {
         let err = read_schedule_csv("cluster,0,c,4\nbogus,1\n").unwrap_err();
         assert!(err.to_string().contains("line 2"), "{err}");
+        for (hosts, msg) in [
+            ("5-2", "line 3: descending host range \"5-2\""),
+            (
+                "0-4294967295",
+                "line 3: host range \"0-4294967295\" ends past host index 4294967295",
+            ),
+            ("x", "line 3: cannot parse host=\"x\" as a number"),
+        ] {
+            let src = format!("cluster,0,c,4\n# hosts\ntask,t,k,0,1,0:{hosts}\n");
+            let err = read_schedule_csv(&src).unwrap_err().to_string();
+            assert!(err.contains(msg), "{err}");
+        }
     }
 
     #[test]
@@ -277,6 +292,15 @@ task,t3,computation,3,4,1:0+2-3
         for threads in [2usize, 5] {
             let err = read_schedule_csv_parallel(&src, threads).unwrap_err();
             assert!(err.to_string().contains("line 42"), "{err}");
+        }
+        // A bad host range in the last chunk names its global line.
+        let src = src.replace("bogus,1\n", "task,w,x,0,1,0:7-3\n");
+        for threads in [2usize, 5] {
+            let err = read_schedule_csv_parallel(&src, threads).unwrap_err();
+            assert!(
+                err.to_string().contains("line 42: descending host range"),
+                "{err}"
+            );
         }
     }
 }
