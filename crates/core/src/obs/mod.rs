@@ -547,19 +547,13 @@ impl ObsReport {
 fn wall_and_worker_us(spans: &[&SpanRecord]) -> (f64, f64) {
     let mut intervals: Vec<(f64, f64)> = spans.iter().map(|s| (s.start_us, s.end_us())).collect();
     intervals.sort_by(|a, b| a.0.total_cmp(&b.0));
-    let (mut wall, mut run) = (0.0, None::<(f64, f64)>);
+    // In start order, each interval adds the part past the furthest end so far.
+    let (mut wall, mut reach) = (0.0, f64::NEG_INFINITY);
     for (start, end) in intervals {
-        run = match run {
-            Some((s, e)) if start <= e => Some((s, e.max(end))),
-            Some((s, e)) => {
-                wall += e - s;
-                Some((start, end))
-            }
-            None => Some((start, end)),
-        };
-    }
-    if let Some((s, e)) = run {
-        wall += e - s;
+        if end > reach {
+            wall += end - start.max(reach);
+            reach = end;
+        }
     }
     let worker: f64 = spans.iter().map(|s| s.dur_us).sum();
     (wall.min(worker), worker)
@@ -827,6 +821,36 @@ mod tests {
             .map(|s| s.dur_us)
             .sum();
         assert!(kids <= root.dur_us);
+    }
+
+    #[test]
+    fn wall_time_is_the_union_of_intervals() {
+        let rec = |id, start_us, dur_us| SpanRecord {
+            id,
+            parent: None,
+            name: "s",
+            detail: None,
+            thread: 1,
+            start_us,
+            dur_us,
+        };
+        // [0, 10] and [5, 20] overlap, [12, 14] lies inside, [30, 31] is apart.
+        let spans = [
+            rec(0, 5.0, 15.0),
+            rec(1, 0.0, 10.0),
+            rec(2, 12.0, 2.0),
+            rec(3, 30.0, 1.0),
+        ];
+        let refs: Vec<&SpanRecord> = spans.iter().collect();
+        assert_eq!(wall_and_worker_us(&refs), (21.0, 28.0));
+        let rep = ObsReport {
+            spans: spans.to_vec(),
+            counters: Vec::new(),
+        };
+        let text = rep.tree_report();
+        assert!(text.contains("s ×4"), "{text}");
+        assert!(text.contains("(worker 0.028 ms)"), "{text}");
+        assert!(text.contains("total        0.021 ms"), "{text}");
     }
 
     #[test]

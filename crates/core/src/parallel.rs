@@ -1,5 +1,6 @@
-//! Shared thread-count policy for the parallel hot paths (composite
-//! sweep, rasterization, PNG encoding, chunked ingest).
+//! Shared thread-count policy and fan-out for the parallel hot paths
+//! (composite sweep, layout classification, LOD binning, rasterization,
+//! PNG encoding, chunked ingest).
 //!
 //! Every parallel stage in the workspace takes a `threads` knob with the
 //! same convention: `0` means "use all available parallelism", `1` forces
