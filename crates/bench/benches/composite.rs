@@ -1,7 +1,7 @@
 //! Fig. 3 family: composite-task computation on overlap-heavy schedules.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use jedule_core::{composite_tasks, Allocation, CompositeOptions, Schedule, ScheduleBuilder, Task};
+use jedule_core::{Allocation, PreparedSchedule, Schedule, ScheduleBuilder, Task};
 use std::hint::black_box;
 
 /// A schedule where computation and transfers overlap on every host — the
@@ -30,7 +30,8 @@ fn bench_composites(c: &mut Criterion) {
     for &n in &[500usize, 5_000, 50_000] {
         let s = overlapping_schedule(n, 32);
         g.bench_with_input(BenchmarkId::new("overlap_pairs", n), &s, |b, s| {
-            b.iter(|| black_box(composite_tasks(s, &CompositeOptions::default())))
+            // A fresh bundle per iteration: index, columns and the sweep.
+            b.iter(|| black_box(PreparedSchedule::borrowed(s).composites(0).len()))
         });
     }
     g.finish();
@@ -41,10 +42,19 @@ fn bench_stats(c: &mut Criterion) {
     let mut g = c.benchmark_group("schedule_stats");
     g.sample_size(10);
     g.bench_function("stats_40k_tasks", |b| {
-        b.iter(|| black_box(jedule_core::stats::schedule_stats(&s)))
+        b.iter(|| {
+            black_box(jedule_core::stats::schedule_stats(
+                &PreparedSchedule::borrowed(&s),
+            ))
+        })
     });
     g.bench_function("idle_holes_40k_tasks", |b| {
-        b.iter(|| black_box(jedule_core::stats::idle_holes(&s, 0.01)))
+        b.iter(|| {
+            black_box(jedule_core::stats::idle_holes(
+                &PreparedSchedule::borrowed(&s),
+                0.01,
+            ))
+        })
     });
     g.finish();
 }

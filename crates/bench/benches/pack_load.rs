@@ -60,7 +60,7 @@ fn bench_pack_cold(c: &mut Criterion) {
     let dir = std::env::temp_dir().join(format!("jedule-pack-bench-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("create bench dir");
     let pack_path = dir.join("trace.swf.jpack");
-    snap::write_pack_file(&prep, digest, &pack_path).expect("write pack");
+    snap::write_pack_file(&prep, digest, &pack_path, 0).expect("write pack");
 
     // Text cold path: what a first render pays without a sidecar —
     // the CLI's SWF ingest (parse + node assignment + task building)
@@ -97,7 +97,7 @@ fn bench_pack_cold(c: &mut Criterion) {
 
     // Pack write, for the one-time sidecar-build cost column.
     g.bench_with_input(BenchmarkId::new("jpack_write", n), &prep, |b, p| {
-        b.iter(|| black_box(snap::write_pack(black_box(p), digest).expect("pack writes")))
+        b.iter(|| black_box(snap::write_pack(black_box(p), digest, 0).expect("pack writes")))
     });
 
     g.finish();

@@ -342,6 +342,7 @@ fn main() {
             &prep,
             jedule_core::snap::source_digest(&csv_bytes),
             &jedule_core::snap::sidecar_path(&input),
+            0,
         )
         .expect("write sidecar");
     }

@@ -9,7 +9,7 @@
 
 use jedule_bench as fig;
 use jedule_core::stats::schedule_stats;
-use jedule_core::ColorMap;
+use jedule_core::{ColorMap, PreparedSchedule};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -80,7 +80,7 @@ fn fig2() {
 fn fig3() {
     header("fig3", "composite tasks (computation+transfer overlap)");
     let s = fig::fig3_schedule();
-    let comps = jedule_core::composite_tasks(&s, &Default::default());
+    let comps = PreparedSchedule::borrowed(&s).composites(0).len();
     fig::emit(
         &s,
         "fig3_composites",
@@ -90,7 +90,7 @@ fn fig3() {
     println!(
         "   {} base tasks, {} composite region(s)",
         s.tasks.len(),
-        comps.len()
+        comps
     );
 }
 
@@ -155,7 +155,7 @@ fn fig5() {
             a.stretch
         );
     }
-    let st = schedule_stats(&r.schedule);
+    let st = schedule_stats(&PreparedSchedule::borrowed(&r.schedule));
     let busy = &st.per_cluster[0].busy_per_host;
     let tail: f64 = busy[17..20].iter().sum::<f64>() / 3.0;
     let head: f64 = busy[..17].iter().sum::<f64>() / 17.0;
@@ -387,7 +387,7 @@ fn fig13(swf: Option<&str>) {
     let mut opts = fig::figure_options("Figure 13 — Thunder, one day, user 6447 highlighted", cmap);
     opts.show_labels = false;
     fig::emit(&schedule, "fig13_thunder_day", opts).expect("render");
-    let st = schedule_stats(&schedule);
+    let st = schedule_stats(&PreparedSchedule::borrowed(&schedule));
     let highlighted = schedule
         .tasks
         .iter()

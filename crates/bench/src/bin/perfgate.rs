@@ -147,6 +147,7 @@ fn measure() -> Gate {
             &p,
             jedule_core::snap::source_digest(swf_text.as_bytes()),
             &pack_path,
+            0,
         )
         .expect("write gate pack");
     }

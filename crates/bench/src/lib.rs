@@ -69,7 +69,9 @@ pub fn fig4() -> Fig4 {
     let cpa = schedule_dag(&dag, FIG4_PROCS, 1.0, CpaVariant::Cpa);
     let mcpa = schedule_dag(&dag, FIG4_PROCS, 1.0, CpaVariant::Mcpa);
     let poly = schedule_dag(&dag, FIG4_PROCS, 1.0, CpaVariant::Mcpa2);
-    let util = |s: &Schedule| jedule_core::stats::schedule_stats(s).utilization;
+    let util = |s: &Schedule| {
+        jedule_core::stats::schedule_stats(&jedule_core::PreparedSchedule::borrowed(s)).utilization
+    };
     Fig4 {
         cpa_makespan: cpa.makespan,
         mcpa_makespan: mcpa.makespan,
@@ -268,9 +270,8 @@ mod tests {
 
     #[test]
     fn fig3_has_composites() {
-        let s = fig3_schedule();
-        let comps = jedule_core::composite_tasks(&s, &Default::default());
-        assert!(!comps.is_empty());
+        let prep = jedule_core::PreparedSchedule::new(fig3_schedule());
+        assert!(!prep.composites(0).is_empty());
     }
 
     #[test]

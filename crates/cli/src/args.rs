@@ -43,10 +43,10 @@ pub fn load_schedule(path: &str, threads: usize) -> Result<Schedule, String> {
     parse_schedule(&read_source(path)?, path, threads)
 }
 
-/// Loads the input of `render`, `view` and `compare`: without
-/// `pack_sidecar` a plain parse (no digest, no probe); with it,
-/// [`acquire`], rewriting a sidecar that missed with the digest of the
-/// text parsed. A stale sidecar is replaced silently, a corrupt one is
+/// Loads the input of `render`, `view` and `compare` on `threads`
+/// workers: without `pack_sidecar` a plain parse (no digest, no probe);
+/// with it, [`acquire`], rewriting a sidecar that missed with the digest
+/// of the text parsed. A stale sidecar is replaced silently, a corrupt one is
 /// named on stderr first, and no sidecar ever fails the command.
 pub fn load_prepared(
     path: &str,
@@ -63,7 +63,7 @@ pub fn load_prepared(
         Sidecar::Corrupt(e) => eprintln!("jedule: ignoring sidecar {}: {e}", sidecar.display()),
         Sidecar::Stale | Sidecar::Absent => {}
     }
-    if let Err(e) = snap::write_pack_file(&prepared, digest, &sidecar) {
+    if let Err(e) = snap::write_pack_file(&prepared, digest, &sidecar, threads) {
         eprintln!("jedule: cannot write sidecar {}: {e}", sidecar.display());
     }
     Ok(prepared)

@@ -62,10 +62,12 @@ pub fn run(argv: &[String]) -> Result<(), String> {
     let (na, nb) = (name(&inputs[0]), name(&inputs[1]));
 
     // Statistics diff.
-    let sa = schedule_stats(&a);
-    let sb = schedule_stats(&b);
-    let ha = idle_holes(&a, 1e-9).len();
-    let hb = idle_holes(&b, 1e-9).len();
+    let pa = PreparedSchedule::borrowed(&a);
+    let pb = PreparedSchedule::borrowed(&b);
+    let sa = schedule_stats(&pa);
+    let sb = schedule_stats(&pb);
+    let ha = idle_holes(&pa, 1e-9).len();
+    let hb = idle_holes(&pb, 1e-9).len();
     println!("{:<14} {:>12} {:>12}", "", na, nb);
     println!(
         "{:<14} {:>12} {:>12}",

@@ -4,7 +4,7 @@
 use crate::args::{load_schedule, Args};
 use jedule_core::snap::{self, Freshness, PACK_VERSION};
 use jedule_core::stats::{idle_holes, schedule_stats};
-use jedule_core::validate;
+use jedule_core::{validate, PreparedSchedule};
 use jedule_serve::ingest::digest_file;
 use jedule_xmlio::json::{obj, Json};
 use std::path::Path;
@@ -27,8 +27,10 @@ pub fn run(argv: &[String]) -> Result<(), String> {
     let schedule = load_schedule(&input, 1)?;
 
     let issues = validate(&schedule);
-    let stats = schedule_stats(&schedule);
-    let holes = idle_holes(&schedule, hole_min.max(1e-9));
+    // One bundle, so both statistics share one index.
+    let prep = PreparedSchedule::borrowed(&schedule);
+    let stats = schedule_stats(&prep);
+    let holes = idle_holes(&prep, hole_min.max(1e-9));
     let pack = pack_status(&input)?;
 
     if as_json {

@@ -15,7 +15,7 @@ pub fn run(argv: &[String]) -> Result<(), String> {
     let mut input: Option<String> = None;
     let mut output: Option<String> = None;
     let mut check = false;
-    let mut threads = 1usize;
+    let mut threads = 0usize;
     let mut sink = ObsSink::default();
 
     while let Some(a) = args.next() {
@@ -50,7 +50,7 @@ pub fn run(argv: &[String]) -> Result<(), String> {
         let _s = obs::span("ingest");
         load_text(Path::new(&input), threads)?
     };
-    snap::write_pack_file(&prep, digest, &out_path)
+    snap::write_pack_file(&prep, digest, &out_path, threads)
         .map_err(|e| format!("cannot pack {input}: {e}"))?;
     let size = std::fs::metadata(&out_path).map(|m| m.len()).unwrap_or(0);
     sink.finish()?;

@@ -761,15 +761,20 @@ fn view_reread_goes_through_the_sidecar() {
     assert!(jedule(&["pack", inp]).status.success());
     let metrics = dir.join("view.json");
     let m = metrics.to_str().unwrap();
+    // Inspecting a task builds that task alone: neither startup, nor the
+    // click, nor the reread materializes the pack.
     let out = jedule_with_stdin(
         &["view", inp, "--pack-sidecar", "--metrics-json", m],
-        "r\nq\n",
+        "i 3.5 1\nr\nq\n",
     );
     assert!(out.status.success());
-    assert!(String::from_utf8_lossy(&out.stdout).contains("window"));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("window"), "{stdout}");
+    assert!(stdout.contains("task 1 [computation]"), "{stdout}");
     let json = std::fs::read_to_string(&metrics).unwrap();
     assert!(json.contains("\"pack.load\""), "{json}");
     assert!(!json.contains("ingest.parse"), "{json}");
+    assert!(!json.contains("prepare.materialize"), "{json}");
 
     // Edit the input once the session has loaded it, then reread.
     let mut child = Command::new(env!("CARGO_BIN_EXE_jedule"))

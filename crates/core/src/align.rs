@@ -5,8 +5,9 @@
 //! is drawn using its local minima/maxima, while in the *aligned* view the
 //! global minima/maxima are used for all clusters so that overall
 //! utilization is directly comparable.
-
-use crate::model::Schedule;
+//!
+//! [`crate::PreparedSchedule::extent_for`] computes both extents once
+//! and caches them.
 
 /// How cluster time axes are established.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -40,43 +41,67 @@ impl TimeExtent {
     }
 }
 
-/// The local extent of one cluster: min start / max end over the tasks with
-/// an allocation on that cluster. `None` if the cluster runs no task.
-pub fn cluster_extent(schedule: &Schedule, cluster: u32) -> Option<TimeExtent> {
-    let mut ext: Option<TimeExtent> = None;
-    for t in &schedule.tasks {
-        if t.allocations.iter().any(|a| a.cluster == cluster) {
-            let e = ext.get_or_insert(TimeExtent::new(t.start, t.end));
-            e.start = e.start.min(t.start);
-            e.end = e.end.max(t.end);
+/// Task-scan references for the extents [`crate::PreparedSchedule`]
+/// caches: the semantics its extents must reproduce, scanned afresh on
+/// every call.
+#[cfg(test)]
+pub(crate) mod scan {
+    use super::{AlignMode, TimeExtent};
+    use crate::model::Schedule;
+
+    /// The local extent of one cluster: min start / max end over the
+    /// tasks with an allocation on that cluster. `None` if the cluster
+    /// runs no task.
+    pub fn cluster_extent(schedule: &Schedule, cluster: u32) -> Option<TimeExtent> {
+        let mut ext: Option<TimeExtent> = None;
+        for t in &schedule.tasks {
+            if t.allocations.iter().any(|a| a.cluster == cluster) {
+                let e = ext.get_or_insert(TimeExtent::new(t.start, t.end));
+                e.start = e.start.min(t.start);
+                e.end = e.end.max(t.end);
+            }
+        }
+        ext
+    }
+
+    /// The global extent over all tasks. `None` for an empty schedule.
+    pub fn global_extent(schedule: &Schedule) -> Option<TimeExtent> {
+        match (schedule.min_start(), schedule.max_end()) {
+            (Some(s), Some(e)) => Some(TimeExtent::new(s, e)),
+            _ => None,
         }
     }
-    ext
-}
 
-/// The global extent over all tasks. `None` for an empty schedule.
-pub fn global_extent(schedule: &Schedule) -> Option<TimeExtent> {
-    match (schedule.min_start(), schedule.max_end()) {
-        (Some(s), Some(e)) => Some(TimeExtent::new(s, e)),
-        _ => None,
-    }
-}
-
-/// The extent to use when drawing `cluster` under the given mode.
-///
-/// In aligned mode a task-less cluster still gets the global extent (it is
-/// drawn as an empty lane); in scaled mode it yields `None`.
-pub fn extent_for(schedule: &Schedule, cluster: u32, mode: AlignMode) -> Option<TimeExtent> {
-    match mode {
-        AlignMode::Scaled => cluster_extent(schedule, cluster),
-        AlignMode::Aligned => global_extent(schedule),
+    /// The extent to use when drawing `cluster` under the given mode.
+    pub fn extent_for(schedule: &Schedule, cluster: u32, mode: AlignMode) -> Option<TimeExtent> {
+        match mode {
+            AlignMode::Scaled => cluster_extent(schedule, cluster),
+            AlignMode::Aligned => global_extent(schedule),
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::{Allocation, Cluster, Task};
+    use crate::model::{Allocation, Cluster, Schedule, Task};
+    use crate::PreparedSchedule;
+
+    fn extent_for(s: &Schedule, cluster: u32, mode: AlignMode) -> Option<TimeExtent> {
+        let bundle = PreparedSchedule::borrowed(s).extent_for(cluster, mode);
+        assert_eq!(bundle, scan::extent_for(s, cluster, mode));
+        bundle
+    }
+
+    fn cluster_extent(s: &Schedule, cluster: u32) -> Option<TimeExtent> {
+        extent_for(s, cluster, AlignMode::Scaled)
+    }
+
+    fn global_extent(s: &Schedule) -> Option<TimeExtent> {
+        let bundle = PreparedSchedule::borrowed(s).global_extent();
+        assert_eq!(bundle, scan::global_extent(s));
+        bundle
+    }
 
     fn two_cluster_schedule() -> Schedule {
         Schedule {

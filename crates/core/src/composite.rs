@@ -11,11 +11,11 @@
 //! hosts becomes a single multi-host task (one rectangle per contiguous
 //! host run).
 
-use crate::columns::TaskColumns;
 use crate::hostset::HostSet;
-use crate::index::ScheduleIndex;
-use crate::model::{Allocation, Schedule, Task};
+use crate::index::IndexEntry;
+use crate::model::{Allocation, Task};
 use crate::parallel::{chunk_bounds, effective_threads, map_chunks};
+use crate::prepared::PreparedSchedule;
 use std::collections::HashMap;
 
 /// The type name assigned to generated composite tasks.
@@ -27,33 +27,9 @@ pub const ATTR_TYPES: &str = "constituent_types";
 /// Attribute key carrying the `+`-joined constituent task ids.
 pub const ATTR_IDS: &str = "constituent_ids";
 
-/// Options controlling composite computation.
-#[derive(Debug, Clone, Copy)]
-pub struct CompositeOptions {
-    /// Overlap segments shorter than this are ignored (guards against
-    /// floating-point touching of task boundaries).
-    pub min_duration: f64,
-    /// Worker threads for the per-host sweep: `0` = available
-    /// parallelism, `1` = sequential. The output is identical for every
-    /// worker count (hosts are chunked and merged in index order).
-    pub threads: usize,
-}
-
-impl Default for CompositeOptions {
-    fn default() -> Self {
-        CompositeOptions {
-            min_duration: 1e-12,
-            threads: 0,
-        }
-    }
-}
-
-impl CompositeOptions {
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
-    }
-}
+/// Overlap segments no longer than this are ignored (guards against
+/// floating-point touching of task boundaries).
+const MIN_OVERLAP: f64 = 1e-12;
 
 /// Key identifying a merged overlap segment: bit-exact start/end times
 /// plus the sorted constituent task indices.
@@ -68,80 +44,43 @@ struct Segment {
     tasks: Vec<usize>,
 }
 
-/// Computes the composite tasks of a schedule.
+/// Computes the composite tasks of a prepared schedule — the sweep
+/// behind [`PreparedSchedule::composites`].
 ///
-/// Returned tasks have type [`COMPOSITE_KIND`], an id of the form
-/// `id1+id2+…`, and attributes [`ATTR_IDS`] / [`ATTR_TYPES`] used by color
-/// maps to resolve composite colors.
-pub fn composite_tasks(schedule: &Schedule, opts: &CompositeOptions) -> Vec<Task> {
-    let index = ScheduleIndex::build_with_hosts(schedule);
-    composite_impl(schedule, &index, opts, &|ti| {
-        let t = &schedule.tasks[ti];
-        (t.start, t.end)
-    })
-}
-
-/// [`composite_tasks`] against a pre-built host-row index, with task
-/// spans read from the columnar view's contiguous `starts`/`ends` slices
-/// instead of striding across `Vec<Task>` structs — the sweep
-/// [`crate::PreparedSchedule::composites`] caches. The column values are
-/// bit-exact copies of the task fields, so the output is identical.
-pub(crate) fn composite_tasks_columnar(
-    schedule: &Schedule,
-    index: &ScheduleIndex,
-    cols: &TaskColumns,
-    opts: &CompositeOptions,
-) -> Vec<Task> {
-    let (starts, ends) = (cols.starts(), cols.ends());
-    composite_impl(schedule, index, opts, &|ti| (starts[ti], ends[ti]))
-}
-
-/// The shared sweep, generic (and monomorphized) over how a task index
-/// resolves to its `(start, end)` span.
-fn composite_impl<F>(
-    schedule: &Schedule,
-    index: &ScheduleIndex,
-    opts: &CompositeOptions,
-    span_of: &F,
-) -> Vec<Task>
-where
-    F: Fn(usize) -> (f64, f64) + Sync,
-{
+/// Each host row of the bundle's interval index is swept on its own,
+/// `threads` workers splitting the rows (`0` = available parallelism,
+/// `1` = sequential). The rows are chunked and merged in host order, so
+/// the output is identical for every worker count. Returned tasks have
+/// type [`COMPOSITE_KIND`], an id of the form `id1+id2+…`, and
+/// attributes [`ATTR_IDS`] / [`ATTR_TYPES`] used by color maps to
+/// resolve composite colors.
+pub(crate) fn sweep(prep: &PreparedSchedule, threads: usize) -> Vec<Task> {
+    let index = prep.index();
+    let cols = prep.columns();
+    let kind = |ti: usize| cols.kind_names()[cols.kind_ids()[ti] as usize].as_str();
     let mut out = Vec::new();
-    for cluster in &schedule.clusters {
+    for cluster in prep.clusters() {
         let Some(ci) = index.cluster(cluster.id) else {
             continue;
         };
-        // Per-host task lists come straight from the index rows, which
-        // already deduplicate a task with several allocations on this
-        // cluster (or one allocation listing a host twice) — without the
-        // dedup the sweep would see the task overlap *itself* and emit
-        // bogus `a+a` composites.
-        let per_host: Vec<Vec<usize>> = (0..cluster.hosts)
-            .map(|h| {
-                ci.host(h)
-                    .map(|seq| seq.entries().iter().map(|e| e.task as usize).collect())
-                    .unwrap_or_default()
-            })
+        // The index rows already deduplicate a task with several
+        // allocations on this cluster (or one allocation listing a host
+        // twice) — without the dedup the sweep would see the task overlap
+        // *itself* and emit bogus `a+a` composites.
+        let work: Vec<(u32, &[IndexEntry])> = (0..cluster.hosts)
+            .filter_map(|h| Some((h, ci.host(h)?.entries())))
+            .filter(|(_, row)| row.len() >= 2)
             .collect();
-
-        // Sweep each host (in parallel across hosts); key segments by
-        // (bit-exact times, task set). The work list and the merge below
-        // are both in ascending host order regardless of the worker
-        // count, so the result is deterministic.
-        let work: Vec<(u32, &[usize])> = per_host
-            .iter()
-            .enumerate()
-            .filter(|(_, tasks)| tasks.len() >= 2)
-            .map(|(host, tasks)| (host as u32, tasks.as_slice()))
-            .collect();
+        // Key segments by (bit-exact times, task set). The work list and
+        // the merge below are both in ascending host order regardless of
+        // the worker count, so the result is deterministic.
         let swept = map_chunks(
             "composite.sweep",
-            &chunk_bounds(work.len(), effective_threads(opts.threads)),
+            &chunk_bounds(work.len(), effective_threads(threads)),
             |&(lo, hi)| {
                 work[lo..hi]
                     .iter()
-                    .map(|&(host, tasks)| (host, host_overlaps(span_of, tasks, opts)))
+                    .map(|&(host, row)| (host, host_overlaps(row)))
                     .collect::<Vec<_>>()
             },
         );
@@ -166,14 +105,8 @@ where
         });
 
         for ((s_bits, e_bits, task_idx), hosts) in segs {
-            let ids: Vec<&str> = task_idx
-                .iter()
-                .map(|&i| schedule.tasks[i].id.as_str())
-                .collect();
-            let mut types: Vec<&str> = task_idx
-                .iter()
-                .map(|&i| schedule.tasks[i].kind.as_str())
-                .collect();
+            let ids: Vec<&str> = task_idx.iter().map(|&i| prep.task_id(i)).collect();
+            let mut types: Vec<&str> = task_idx.iter().map(|&i| kind(i)).collect();
             types.sort_unstable();
             types.dedup();
             let task = Task::new(
@@ -191,19 +124,15 @@ where
     out
 }
 
-/// Sweeps one host's tasks and returns maximal segments where at least two
+/// Sweeps one host row and returns maximal segments where at least two
 /// tasks are simultaneously active.
-fn host_overlaps<F>(span_of: &F, task_indices: &[usize], opts: &CompositeOptions) -> Vec<Segment>
-where
-    F: Fn(usize) -> (f64, f64),
-{
+fn host_overlaps(row: &[IndexEntry]) -> Vec<Segment> {
     // Event sweep: +1 at start, -1 at end.
-    let mut events: Vec<(f64, i32, usize)> = Vec::with_capacity(task_indices.len() * 2);
-    for &ti in task_indices {
-        let (start, end) = span_of(ti);
-        if end > start {
-            events.push((start, 1, ti));
-            events.push((end, -1, ti));
+    let mut events: Vec<(f64, i32, usize)> = Vec::with_capacity(row.len() * 2);
+    for e in row {
+        if e.end > e.start {
+            events.push((e.start, 1, e.task as usize));
+            events.push((e.end, -1, e.task as usize));
         }
     }
     // Ends before starts at equal times so touching tasks don't overlap.
@@ -213,16 +142,16 @@ where
     let mut out: Vec<Segment> = Vec::new();
     let mut prev_t = f64::NEG_INFINITY;
     for (t, delta, ti) in events {
-        if active.len() >= 2 && t - prev_t > opts.min_duration {
+        if active.len() >= 2 && t - prev_t > MIN_OVERLAP {
             let mut tasks = active.clone();
             tasks.sort_unstable();
             // Extend the previous segment if it has the same constituents
             // and touches (can happen when an unrelated event splits it).
-            // The comparison is strict: a gap of exactly `min_duration`
-            // is a real (just-suppressed) interval, not floating-point
-            // noise, and must keep the segments apart.
+            // The comparison is strict: a gap of exactly `MIN_OVERLAP` is
+            // a real (just-suppressed) interval, not floating-point noise,
+            // and must keep the segments apart.
             if let Some(last) = out.last_mut() {
-                if last.tasks == tasks && (last.end - prev_t).abs() < opts.min_duration {
+                if last.tasks == tasks && (last.end - prev_t).abs() < MIN_OVERLAP {
                     last.end = t;
                 } else {
                     out.push(Segment {
@@ -252,7 +181,12 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::Cluster;
+    use crate::model::{Cluster, Schedule};
+
+    /// The sweep on one worker, as a fresh bundle runs it.
+    fn composite_tasks(s: &Schedule) -> Vec<Task> {
+        PreparedSchedule::borrowed(s).composites(1).to_vec()
+    }
 
     fn schedule_with(tasks: Vec<Task>) -> Schedule {
         Schedule {
@@ -268,7 +202,7 @@ mod tests {
             Task::new("a", "computation", 0.0, 1.0).on(Allocation::contiguous(0, 0, 4)),
             Task::new("b", "computation", 1.0, 2.0).on(Allocation::contiguous(0, 0, 4)),
         ]);
-        assert!(composite_tasks(&s, &CompositeOptions::default()).is_empty());
+        assert!(composite_tasks(&s).is_empty());
     }
 
     #[test]
@@ -277,7 +211,7 @@ mod tests {
             Task::new("a", "computation", 0.0, 2.0).on(Allocation::contiguous(0, 0, 4)),
             Task::new("b", "transfer", 1.0, 3.0).on(Allocation::contiguous(0, 0, 4)),
         ]);
-        let comps = composite_tasks(&s, &CompositeOptions::default());
+        let comps = composite_tasks(&s);
         assert_eq!(comps.len(), 1);
         let c = &comps[0];
         assert_eq!(c.kind, COMPOSITE_KIND);
@@ -300,7 +234,7 @@ mod tests {
             Task::new("a", "computation", 0.0, 2.0).on(Allocation::contiguous(0, 0, 4)),
             Task::new("b", "transfer", 1.0, 3.0).on(Allocation::contiguous(0, 2, 4)),
         ]);
-        let comps = composite_tasks(&s, &CompositeOptions::default());
+        let comps = composite_tasks(&s);
         assert_eq!(comps.len(), 1);
         assert_eq!(comps[0].allocations[0].hosts, HostSet::contiguous(2, 2));
     }
@@ -312,7 +246,7 @@ mod tests {
             Task::new("b", "y", 2.0, 8.0).on(Allocation::contiguous(0, 0, 1)),
             Task::new("c", "z", 4.0, 6.0).on(Allocation::contiguous(0, 0, 1)),
         ]);
-        let comps = composite_tasks(&s, &CompositeOptions::default());
+        let comps = composite_tasks(&s);
         // [2,4): a+b, [4,6): a+b+c, [6,8): a+b
         assert_eq!(comps.len(), 3);
         assert_eq!(comps[0].id, "a+b");
@@ -329,7 +263,7 @@ mod tests {
             Task::new("a", "x", 0.0, 1.0).on(Allocation::contiguous(0, 0, 1)),
             Task::new("b", "y", 1.0, 2.0).on(Allocation::contiguous(0, 0, 1)),
         ]);
-        assert!(composite_tasks(&s, &CompositeOptions::default()).is_empty());
+        assert!(composite_tasks(&s).is_empty());
     }
 
     #[test]
@@ -343,7 +277,7 @@ mod tests {
             meta: Default::default(),
         };
         // Same host indices but different clusters: no shared resource.
-        assert!(composite_tasks(&s, &CompositeOptions::default()).is_empty());
+        assert!(composite_tasks(&s).is_empty());
     }
 
     #[test]
@@ -352,7 +286,7 @@ mod tests {
             Task::new("a", "x", 1.0, 1.0).on(Allocation::contiguous(0, 0, 1)),
             Task::new("b", "y", 0.0, 2.0).on(Allocation::contiguous(0, 0, 1)),
         ]);
-        assert!(composite_tasks(&s, &CompositeOptions::default()).is_empty());
+        assert!(composite_tasks(&s).is_empty());
     }
 
     #[test]
@@ -362,7 +296,7 @@ mod tests {
         let s = schedule_with(vec![Task::new("a", "computation", 0.0, 2.0)
             .on(Allocation::contiguous(0, 0, 2))
             .on(Allocation::contiguous(0, 1, 2))]);
-        let comps = composite_tasks(&s, &CompositeOptions::default());
+        let comps = composite_tasks(&s);
         assert!(
             comps.is_empty(),
             "lone task self-composed: {:?}",
@@ -380,7 +314,7 @@ mod tests {
                 .on(Allocation::contiguous(0, 1, 1)),
             Task::new("b", "transfer", 1.0, 3.0).on(Allocation::contiguous(0, 1, 1)),
         ]);
-        let comps = composite_tasks(&s, &CompositeOptions::default());
+        let comps = composite_tasks(&s);
         assert_eq!(comps.len(), 1);
         assert_eq!(comps[0].id, "a+b");
         assert_eq!((comps[0].start, comps[0].end), (1.0, 2.0));
@@ -388,21 +322,17 @@ mod tests {
 
     #[test]
     fn gap_of_exactly_min_duration_is_not_glued() {
-        // a and b overlap throughout [0, 10]; c joins for exactly
-        // min_duration at [5, 5.5]. The a+b+c segment is suppressed
-        // (== min_duration), but the two surrounding a+b segments are
-        // separated by that real interval and must NOT be merged into
-        // one [0, 10] segment.
-        let opts = CompositeOptions {
-            min_duration: 0.5,
-            ..CompositeOptions::default()
-        };
+        // a and b overlap throughout [-1, 1]; c joins for exactly
+        // MIN_OVERLAP at [0, MIN_OVERLAP]. The a+b+c segment is
+        // suppressed (== MIN_OVERLAP), but the two surrounding a+b
+        // segments are separated by that real interval and must NOT be
+        // merged into one [-1, 1] segment.
         let s = schedule_with(vec![
-            Task::new("a", "x", 0.0, 10.0).on(Allocation::contiguous(0, 0, 1)),
-            Task::new("b", "y", 0.0, 10.0).on(Allocation::contiguous(0, 0, 1)),
-            Task::new("c", "z", 5.0, 5.5).on(Allocation::contiguous(0, 0, 1)),
+            Task::new("a", "x", -1.0, 1.0).on(Allocation::contiguous(0, 0, 1)),
+            Task::new("b", "y", -1.0, 1.0).on(Allocation::contiguous(0, 0, 1)),
+            Task::new("c", "z", 0.0, MIN_OVERLAP).on(Allocation::contiguous(0, 0, 1)),
         ]);
-        let comps = composite_tasks(&s, &opts);
+        let comps = composite_tasks(&s);
         let ab: Vec<(f64, f64)> = comps
             .iter()
             .filter(|c| c.id == "a+b")
@@ -410,31 +340,28 @@ mod tests {
             .collect();
         assert_eq!(
             ab,
-            vec![(0.0, 5.0), (5.5, 10.0)],
+            vec![(-1.0, 0.0), (MIN_OVERLAP, 1.0)],
             "boundary gap glued: {comps:?}"
         );
+        assert!(comps.iter().all(|c| c.id != "a+b+c"), "{comps:?}");
     }
 
     #[test]
     fn sub_min_duration_jitter_still_merges() {
         // The merge exists to bridge floating-point-sized splits from
-        // unrelated events; a split far below min_duration still glues.
-        let opts = CompositeOptions {
-            min_duration: 0.5,
-            ..CompositeOptions::default()
-        };
+        // unrelated events; a split below MIN_OVERLAP still glues.
         let s = schedule_with(vec![
-            Task::new("a", "x", 0.0, 10.0).on(Allocation::contiguous(0, 0, 1)),
-            Task::new("b", "y", 0.0, 10.0).on(Allocation::contiguous(0, 0, 1)),
-            Task::new("c", "z", 5.0, 5.1).on(Allocation::contiguous(0, 0, 1)),
+            Task::new("a", "x", -1.0, 1.0).on(Allocation::contiguous(0, 0, 1)),
+            Task::new("b", "y", -1.0, 1.0).on(Allocation::contiguous(0, 0, 1)),
+            Task::new("c", "z", 0.0, MIN_OVERLAP / 2.0).on(Allocation::contiguous(0, 0, 1)),
         ]);
-        let comps = composite_tasks(&s, &opts);
+        let comps = composite_tasks(&s);
         let ab: Vec<(f64, f64)> = comps
             .iter()
             .filter(|c| c.id == "a+b")
             .map(|c| (c.start, c.end))
             .collect();
-        assert_eq!(ab, vec![(0.0, 10.0)]);
+        assert_eq!(ab, vec![(-1.0, 1.0)]);
     }
 
     #[test]
@@ -460,38 +387,10 @@ mod tests {
             );
         }
         let s = schedule_with(tasks);
-        let base = composite_tasks(&s, &CompositeOptions::default().with_threads(1));
+        let base = composite_tasks(&s);
         assert!(!base.is_empty());
         for threads in [0, 2, 3, 5, 8, 16] {
-            let got = composite_tasks(&s, &CompositeOptions::default().with_threads(threads));
-            assert_eq!(got, base, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn columnar_matches_task_walk_for_any_worker_count() {
-        let mut tasks = Vec::new();
-        for i in 0..40u32 {
-            let h = i % 8;
-            let start = f64::from(i % 5);
-            tasks.push(
-                Task::new(
-                    format!("t{i}"),
-                    if i % 2 == 0 { "x" } else { "y" },
-                    start,
-                    start + 2.0,
-                )
-                .on(Allocation::contiguous(0, h, 1 + (i % 3))),
-            );
-        }
-        let s = schedule_with(tasks);
-        let index = ScheduleIndex::build_with_hosts(&s);
-        let cols = TaskColumns::build(&s);
-        let base = composite_tasks(&s, &CompositeOptions::default().with_threads(1));
-        assert!(!base.is_empty());
-        for threads in [1, 2, 5] {
-            let opts = CompositeOptions::default().with_threads(threads);
-            let got = composite_tasks_columnar(&s, &index, &cols, &opts);
+            let got = PreparedSchedule::borrowed(&s).composites(threads).to_vec();
             assert_eq!(got, base, "threads={threads}");
         }
     }
@@ -503,7 +402,7 @@ mod tests {
             Task::new("a", "x", 0.0, 2.0).on(Allocation::new(0, HostSet::from_hosts([0, 2]))),
             Task::new("b", "y", 1.0, 3.0).on(Allocation::contiguous(0, 0, 4)),
         ]);
-        let comps = composite_tasks(&s, &CompositeOptions::default());
+        let comps = composite_tasks(&s);
         assert_eq!(comps.len(), 1);
         assert_eq!(comps[0].allocations[0].hosts, HostSet::from_hosts([0, 2]));
         assert!(!comps[0].allocations[0].hosts.is_contiguous());

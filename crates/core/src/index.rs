@@ -194,34 +194,21 @@ impl ScheduleIndex {
         }
     }
 
-    /// Builds the cluster-level index only — O(tasks · allocations) time,
-    /// O(tasks) memory. Enough for layout culling and hit-testing.
-    pub fn build(schedule: &Schedule) -> Self {
-        Self::build_inner(schedule, false)
-    }
-
     /// Builds cluster-level *and* per-host-row sequences — one entry per
-    /// (task, occupied host) pair. Needed by statistics and the composite
-    /// sweep, which reason per row.
+    /// (task, occupied host) pair. [`crate::PreparedSchedule::index`]
+    /// caches the result for window culling, statistics, hit-testing and
+    /// the composite sweep.
     pub fn build_with_hosts(schedule: &Schedule) -> Self {
-        Self::build_inner(schedule, true)
-    }
-
-    fn build_inner(schedule: &Schedule, with_hosts: bool) -> Self {
         let mut per_cluster: Vec<Vec<IndexEntry>> = schedule
             .clusters
             .iter()
             .map(|_| Vec::with_capacity(schedule.tasks.len() / schedule.clusters.len().max(1)))
             .collect();
-        let mut per_host: Vec<Vec<Vec<IndexEntry>>> = if with_hosts {
-            schedule
-                .clusters
-                .iter()
-                .map(|c| vec![Vec::new(); c.hosts as usize])
-                .collect()
-        } else {
-            Vec::new()
-        };
+        let mut per_host: Vec<Vec<Vec<IndexEntry>>> = schedule
+            .clusters
+            .iter()
+            .map(|c| vec![Vec::new(); c.hosts as usize])
+            .collect();
         // Position of each cluster id in declaration order.
         let slot = |id: u32| schedule.clusters.iter().position(|c| c.id == id);
         for (ti, task) in schedule.tasks.iter().enumerate() {
@@ -241,13 +228,11 @@ impl ScheduleIndex {
                 if bucket.last().map(|e| e.task) != Some(entry.task) {
                     bucket.push(entry);
                 }
-                if with_hosts {
-                    let rows = &mut per_host[ci];
-                    for h in alloc.hosts.iter() {
-                        if let Some(row) = rows.get_mut(h as usize) {
-                            if row.last().map(|e| e.task) != Some(entry.task) {
-                                row.push(entry);
-                            }
+                let rows = &mut per_host[ci];
+                for h in alloc.hosts.iter() {
+                    if let Some(row) = rows.get_mut(h as usize) {
+                        if row.last().map(|e| e.task) != Some(entry.task) {
+                            row.push(entry);
                         }
                     }
                 }
@@ -257,22 +242,19 @@ impl ScheduleIndex {
             .clusters
             .iter()
             .zip(per_cluster)
-            .enumerate()
-            .map(|(ci, (c, entries)): (usize, (&Cluster, _))| ClusterIndex {
-                cluster: c.id,
-                hosts: c.hosts,
-                tasks: IntervalSeq::from_entries(entries),
-                per_host: with_hosts.then(|| {
-                    per_host[ci]
-                        .drain(..)
-                        .map(IntervalSeq::from_entries)
-                        .collect()
-                }),
-            })
+            .zip(per_host)
+            .map(
+                |((c, entries), rows): ((&Cluster, _), Vec<_>)| ClusterIndex {
+                    cluster: c.id,
+                    hosts: c.hosts,
+                    tasks: IntervalSeq::from_entries(entries),
+                    per_host: Some(rows.into_iter().map(IntervalSeq::from_entries).collect()),
+                },
+            )
             .collect();
         ScheduleIndex {
             clusters,
-            with_hosts,
+            with_hosts: true,
         }
     }
 
@@ -361,7 +343,7 @@ mod tests {
     #[test]
     fn cluster_query_matches_brute_force() {
         let s = sample();
-        let idx = ScheduleIndex::build(&s);
+        let idx = ScheduleIndex::build_with_hosts(&s);
         for cid in [0u32, 7] {
             for (t0, t1) in [
                 (0.0, 5.0),
@@ -402,7 +384,7 @@ mod tests {
     #[test]
     fn empty_window_matches_nothing() {
         let s = sample();
-        let idx = ScheduleIndex::build(&s);
+        let idx = ScheduleIndex::build_with_hosts(&s);
         assert!(idx.cluster(0).unwrap().query(3.0, 2.0).is_empty());
         assert!(brute_force_query(&s, 0, 3.0, 2.0).is_empty());
     }
@@ -438,8 +420,19 @@ mod tests {
 
     #[test]
     fn shallow_build_has_no_host_rows() {
-        let idx = ScheduleIndex::build(&sample());
+        // The shape a pack's cluster rows gather into for window culling.
+        let full = ScheduleIndex::build_with_hosts(&sample());
+        let clusters = full
+            .clusters()
+            .iter()
+            .map(|ci| ClusterIndex::from_parts(ci.cluster, ci.hosts, ci.tasks().clone(), None))
+            .collect();
+        let idx = ScheduleIndex::from_parts(clusters, false);
         assert!(!idx.has_hosts());
+        assert_eq!(
+            idx.cluster(0).unwrap().query(0.0, 9.0),
+            full.cluster(0).unwrap().query(0.0, 9.0)
+        );
         assert!(idx.cluster(0).unwrap().host(0).is_none());
         assert!(idx.cluster(0).unwrap().query_host(0, 0.0, 9.0).is_empty());
     }
@@ -461,7 +454,7 @@ mod tests {
             tasks,
             meta: Default::default(),
         };
-        let idx = ScheduleIndex::build(&s);
+        let idx = ScheduleIndex::build_with_hosts(&s);
         assert_eq!(idx.cluster(0).unwrap().query(99.0, 99.5), vec![0]);
         assert_eq!(
             idx.cluster(0).unwrap().query(99.0, 99.5),
@@ -471,7 +464,7 @@ mod tests {
 
     #[test]
     fn entries_sorted_by_start_with_prefix() {
-        let idx = ScheduleIndex::build(&sample());
+        let idx = ScheduleIndex::build_with_hosts(&sample());
         let seq = idx.cluster(0).unwrap().tasks();
         for w in seq.entries().windows(2) {
             assert!(w[0].start <= w[1].start);

@@ -11,9 +11,13 @@
 //!   disjoint clusters (`model`).
 //! * [`ColorMap`] — user-defined per-type foreground/background colors with
 //!   composite rules and grayscale conversion (`colormap`).
-//! * Composite-task computation for overlapping tasks (`composite`).
+//! * Composite-task computation for overlapping tasks (`composite`,
+//!   behind [`PreparedSchedule::composites`]).
 //! * Scaled vs. aligned multi-cluster time alignment (`align`).
 //! * Utilization / idle-time statistics (`stats`).
+//! * [`PreparedSchedule`] — a schedule plus its lazily built derived data
+//!   (interval index, extents, columns, composites): the one input of the
+//!   renderer, the statistics, hit-testing and the composite sweep.
 //! * [`ScheduleIndex`] — per-cluster / per-host interval index answering
 //!   "which tasks intersect `[t0, t1]` on this row?" in `O(log n + k)`
 //!   (`index`), backing window culling, statistics and the composite sweep.
@@ -51,7 +55,6 @@ pub use builder::ScheduleBuilder;
 pub use color::Color;
 pub use colormap::{ColorMap, ColorPair, CompositeRule};
 pub use columns::{Seg, TaskColumns};
-pub use composite::{composite_tasks, CompositeOptions};
 pub use diff::{diff_schedules, ScheduleDiff, TaskChange};
 pub use error::CoreError;
 pub use hostset::{HostRange, HostSet};

@@ -12,14 +12,16 @@
 //! view is bounded by what it draws:
 //!
 //! * the per-cluster/per-host [`ScheduleIndex`] (window culling,
-//!   composite sweep, hit-testing),
+//!   statistics, hit-testing and the composite sweep),
 //! * global and per-cluster time extents for both [`AlignMode`]s,
 //! * the columnar [`TaskColumns`] view, which also carries the distinct
 //!   task kinds in first-appearance order plus a per-task kind slot
 //!   (legend + classify/colormap memo), and
-//! * the default composite-task sweep.
+//! * the composite-task sweep.
 //!
-//! It is also the only thing the renderer draws from. A bundle wraps an
+//! It is the only input of everything derived from a schedule: the
+//! renderer, [`crate::stats`], [`crate::ViewState`] hit-testing and the
+//! composite sweep all read its caches. A bundle wraps an
 //! owned schedule ([`PreparedSchedule::new`]), a borrowed one
 //! ([`PreparedSchedule::borrowed`], the one-shot form behind
 //! `render(&Schedule)`, no clone) or a loaded `.jpack` snapshot
@@ -34,11 +36,12 @@
 
 use crate::align::{AlignMode, TimeExtent};
 use crate::columns::TaskColumns;
-use crate::composite::{composite_tasks_columnar, CompositeOptions};
+use crate::composite;
 use crate::index::ScheduleIndex;
 use crate::model::{Cluster, MetaInfo, Schedule, Task};
 use crate::obs;
 use crate::snap::{PackIndex, PackNames, PackedSchedule};
+use std::borrow::Cow;
 use std::sync::OnceLock;
 
 /// A [`Schedule`] plus memoized derived data for serving many renders.
@@ -215,6 +218,17 @@ impl<'a> PreparedSchedule<'a> {
         }
     }
 
+    /// Task `ti`. A packed source that is not materialized builds just
+    /// this task from the pack; every other source lends it.
+    pub fn task(&self, ti: usize) -> Cow<'_, Task> {
+        match &self.source {
+            Source::Packed(p) if p.schedule.get().is_none() => {
+                Cow::Owned(p.names.build_task(self.columns(), ti))
+            }
+            _ => Cow::Borrowed(&self.schedule().tasks[ti]),
+        }
+    }
+
     /// Number of tasks, without materializing a packed schedule.
     pub fn task_count(&self) -> usize {
         match &self.source {
@@ -282,8 +296,7 @@ impl<'a> PreparedSchedule<'a> {
     }
 
     /// The global `[min start, max end]` extent (`None` when empty),
-    /// equal to [`crate::align::global_extent`] — folded over the
-    /// contiguous start/end columns with the same min/max accumulation.
+    /// folded over the contiguous start/end columns.
     pub fn global_extent(&self) -> Option<TimeExtent> {
         if let Some(built) = self.global.get() {
             obs::count("prepared.cache_hit", 1);
@@ -303,9 +316,9 @@ impl<'a> PreparedSchedule<'a> {
         })
     }
 
-    /// Each cluster's local extent in declaration order, as
-    /// [`crate::align::cluster_extent`] computes it. Only scaled axes
-    /// read it, so aligned renders never pay its pass.
+    /// Each cluster's local extent in declaration order: min start / max
+    /// end over the tasks with an allocation on it. Only scaled axes and
+    /// statistics read it, so aligned renders never pay its pass.
     fn per_cluster_extents(&self) -> &[Option<TimeExtent>] {
         if let Some(built) = self.per_cluster.get() {
             obs::count("prepared.cache_hit", 1);
@@ -332,8 +345,10 @@ impl<'a> PreparedSchedule<'a> {
         })
     }
 
-    /// The extent to draw `cluster` with under `mode`, equal to
-    /// [`crate::align::extent_for`] — cached instead of rescanned.
+    /// The extent to draw `cluster` with under `mode`: its local extent
+    /// when [`AlignMode::Scaled`] (`None` if it runs no task), the global
+    /// one when [`AlignMode::Aligned`] — so a task-less cluster is still
+    /// drawn as an empty lane across the global span.
     pub fn extent_for(&self, cluster: u32, mode: AlignMode) -> Option<TimeExtent> {
         match mode {
             AlignMode::Aligned => self.global_extent(),
@@ -367,25 +382,25 @@ impl<'a> PreparedSchedule<'a> {
         self.columns().kind_names()
     }
 
-    /// Composite tasks of overlap regions under default
-    /// [`CompositeOptions`] — what the layout engine draws. Computed on
-    /// first use (building the index if needed) and cached.
-    pub fn composites(&self) -> &[Task] {
+    /// Composite tasks of overlap regions — what the layout engine draws.
+    /// Computed on first use (building the index if needed), sweeping
+    /// the host rows on `threads` workers (`0` = available parallelism),
+    /// and cached; the result is the same for every worker count.
+    pub fn composites(&self, threads: usize) -> &[Task] {
         if let Some(built) = self.composites.get() {
             obs::count("prepared.cache_hit", 1);
             return built.as_slice();
         }
         self.composites
             .get_or_init(|| {
-                // Resolve the schedule, index and column dependencies
-                // *before* opening the span so their build time is
-                // attributed to prepare.index / prepare.columns, not here.
-                let schedule = self.schedule();
-                let index = self.index();
-                let columns = self.columns();
+                // Resolve the index and column dependencies *before*
+                // opening the span so their build time is attributed to
+                // prepare.index / prepare.columns, not here.
+                self.index();
+                self.columns();
                 let _s = obs::span("prepare.composites");
                 obs::count("prepared.cache_build", 1);
-                composite_tasks_columnar(schedule, index, columns, &CompositeOptions::default())
+                composite::sweep(self, threads)
             })
             .as_slice()
     }
@@ -397,20 +412,11 @@ impl From<Schedule> for PreparedSchedule<'_> {
     }
 }
 
-impl std::ops::Deref for PreparedSchedule<'_> {
-    type Target = Schedule;
-
-    fn deref(&self) -> &Schedule {
-        self.schedule()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::align::{extent_for, global_extent};
+    use crate::align::scan::{extent_for, global_extent};
     use crate::builder::ScheduleBuilder;
-    use crate::composite::composite_tasks;
     use crate::model::{Allocation, Task};
 
     fn sched() -> Schedule {
@@ -508,17 +514,18 @@ mod tests {
     fn composites_match_uncached_sweep() {
         let s = sched();
         let p = PreparedSchedule::new(s.clone());
-        let cold = composite_tasks(&s, &CompositeOptions::default());
-        assert_eq!(p.composites(), cold.as_slice());
-        // Cached: same borrow twice.
-        assert_eq!(p.composites().as_ptr(), p.composites().as_ptr());
+        let cold = PreparedSchedule::borrowed(&s).composites(2).to_vec();
+        assert!(!cold.is_empty());
+        assert_eq!(p.composites(1), cold.as_slice());
+        // Cached: same borrow twice, whatever the second call asks for.
+        assert_eq!(p.composites(1).as_ptr(), p.composites(2).as_ptr());
     }
 
     #[test]
-    fn deref_and_unwrap() {
+    fn schedule_and_unwrap() {
         let s = sched();
         let p = PreparedSchedule::from(s.clone());
-        assert_eq!(p.tasks.len(), 3); // Deref
+        assert_eq!(p.task(1).id, "b");
         assert_eq!(p.schedule(), &s);
         p.warm();
         assert_eq!(p.into_schedule(), s);
@@ -531,7 +538,7 @@ mod tests {
         let p = PreparedSchedule::new(sched());
         p.index();
         p.index();
-        p.composites(); // hits index again, builds columns + composites
+        p.composites(1); // hits index again, builds columns + composites
         let rep = col.report();
         assert_eq!(rep.counter("prepared.cache_build"), 3);
         assert!(rep.counter("prepared.cache_hit") >= 2);

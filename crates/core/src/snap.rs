@@ -649,15 +649,20 @@ fn encode_composites(composites: &[Task]) -> Result<Vec<u8>, PackError> {
 }
 
 /// Serializes a [`PreparedSchedule`] into pack bytes (building any
-/// still-cold caches in the process). `src_digest` is [`source_digest`]
-/// of the source text the schedule was parsed from — the staleness
-/// validator every consumer checks before trusting the pack.
-pub fn write_pack(prep: &PreparedSchedule, src_digest: u64) -> Result<Vec<u8>, PackError> {
+/// still-cold caches in the process, the composite sweep on `threads`
+/// workers). `src_digest` is [`source_digest`] of the source text the
+/// schedule was parsed from — the staleness validator every consumer
+/// checks before trusting the pack.
+pub fn write_pack(
+    prep: &PreparedSchedule,
+    src_digest: u64,
+    threads: usize,
+) -> Result<Vec<u8>, PackError> {
     let _sp = obs::span("pack.write");
     let schedule = prep.schedule();
     let columns = prep.columns();
     let index = prep.index();
-    let composites = prep.composites();
+    let composites = prep.composites(threads);
     let n = schedule.tasks.len();
 
     // String blob: task ids first (contiguous, so a CSR of n+1 offsets
@@ -821,8 +826,9 @@ pub fn write_pack_file(
     prep: &PreparedSchedule,
     src_digest: u64,
     path: &Path,
+    threads: usize,
 ) -> Result<(), PackError> {
-    let bytes = write_pack(prep, src_digest)?;
+    let bytes = write_pack(prep, src_digest, threads)?;
     let mut tmp = path.as_os_str().to_os_string();
     tmp.push(".tmp");
     let tmp = PathBuf::from(tmp);
@@ -944,8 +950,9 @@ pub struct PackedSchedule {
 /// The lazily-read remainder of a pack: task-id strings and the
 /// allocation/attribute structure, addressed by validated offsets into
 /// the shared buffer. [`PackNames::task_id`] serves render labels
-/// without materializing a `Schedule`; `build_tasks` materializes the
-/// full task list when someone needs one.
+/// without materializing a `Schedule`; `build_task` builds one task
+/// (a clicked one) and `build_tasks` the full list when someone needs
+/// it.
 pub struct PackNames {
     buf: Arc<PackBuf>,
     n: usize,
@@ -998,20 +1005,20 @@ impl PackNames {
     /// Materializes the full task list (the lazy half of
     /// `PreparedSchedule::schedule()` for packed sources).
     pub(crate) fn build_tasks(&self, columns: &TaskColumns) -> Vec<Task> {
-        let starts = columns.starts();
-        let ends = columns.ends();
-        let kind_ids = columns.kind_ids();
-        let kinds = columns.kind_names();
+        (0..self.n).map(|ti| self.build_task(columns, ti)).collect()
+    }
+
+    /// Builds task `ti` alone: its span and kind from `columns`, its id,
+    /// allocations and attributes from the pack.
+    pub(crate) fn build_task(&self, columns: &TaskColumns, ti: usize) -> Task {
         let alloc_offsets = self.u32s(self.alloc_off, self.n + 1);
         let alloc_clusters = self.u32s(self.alloc_clusters_off, self.n_allocs);
         let range_offsets = self.u32s(self.range_off, self.n_allocs + 1);
         let ranges = self.u32s(self.ranges_off, self.n_ranges * 2);
         let attr_offsets = self.u32s(self.attr_off, self.n + 1);
         let attr_quads = self.u32s(self.attr_quads_off, self.n_attrs * 4);
-        let mut tasks = Vec::with_capacity(self.n);
-        for ti in 0..self.n {
-            let mut allocations = Vec::new();
-            for ai in alloc_offsets[ti] as usize..alloc_offsets[ti + 1] as usize {
+        let allocations = (alloc_offsets[ti] as usize..alloc_offsets[ti + 1] as usize)
+            .map(|ai| {
                 let rs: Vec<HostRange> = (range_offsets[ai] as usize
                     ..range_offsets[ai + 1] as usize)
                     .map(|ri| HostRange {
@@ -1019,31 +1026,29 @@ impl PackNames {
                         nb: ranges[ri * 2 + 1],
                     })
                     .collect();
-                allocations.push(Allocation {
+                Allocation {
                     cluster: alloc_clusters[ai],
                     hosts: HostSet::from_ranges(rs),
-                });
-            }
-            let attrs: Vec<(String, String)> = (attr_offsets[ti] as usize
-                ..attr_offsets[ti + 1] as usize)
-                .map(|qi| {
-                    let q = &attr_quads[qi * 4..qi * 4 + 4];
-                    (
-                        self.blob_str(q[0], q[1]).to_string(),
-                        self.blob_str(q[2], q[3]).to_string(),
-                    )
-                })
-                .collect();
-            tasks.push(Task {
-                id: self.task_id(ti).to_string(),
-                kind: kinds[kind_ids[ti] as usize].clone(),
-                start: starts[ti],
-                end: ends[ti],
-                allocations,
-                attrs,
-            });
+                }
+            })
+            .collect();
+        let attrs = (attr_offsets[ti] as usize..attr_offsets[ti + 1] as usize)
+            .map(|qi| {
+                let q = &attr_quads[qi * 4..qi * 4 + 4];
+                (
+                    self.blob_str(q[0], q[1]).to_string(),
+                    self.blob_str(q[2], q[3]).to_string(),
+                )
+            })
+            .collect();
+        Task {
+            id: self.task_id(ti).to_string(),
+            kind: columns.kind_names()[columns.kind_ids()[ti] as usize].clone(),
+            start: columns.starts()[ti],
+            end: columns.ends()[ti],
+            allocations,
+            attrs,
         }
-        tasks
     }
 }
 
@@ -1999,7 +2004,7 @@ mod tests {
 
     fn pack_of(s: &Schedule) -> Vec<u8> {
         let prep = PreparedSchedule::new(s.clone());
-        write_pack(&prep, source_digest(b"src")).unwrap()
+        write_pack(&prep, source_digest(b"src"), 1).unwrap()
     }
 
     #[test]
@@ -2025,7 +2030,7 @@ mod tests {
             owned.columns().seg_offsets()
         );
         assert_eq!(packed.global_extent(), owned.global_extent());
-        assert_eq!(packed.composites(), owned.composites());
+        assert_eq!(packed.composites(1), owned.composites(1));
         // Culling gathers the cluster rows alone; `index()` and `warm()`
         // gather every row. None of it materializes the schedule.
         let cull = packed.cull_index().unwrap();
@@ -2053,6 +2058,49 @@ mod tests {
         }
         // Once the full index exists, culling reuses it.
         assert!(std::ptr::eq(packed.cull_index().unwrap(), packed.index()));
+    }
+
+    #[test]
+    fn packed_views_match_owned() {
+        use crate::align::AlignMode;
+        use crate::stats::{idle_holes, schedule_stats, utilization_profile};
+        use crate::view::{task_info, ViewState};
+        let s = sched();
+        let owned = PreparedSchedule::new(s.clone());
+        let packed = PreparedSchedule::from_pack(load_bytes(&pack_of(&s)).unwrap());
+        // Fitting, hit-testing and the hole and profile statistics read
+        // the index, extents and columns alone.
+        assert_eq!(ViewState::fit(&packed), ViewState::fit(&owned));
+        assert_eq!(idle_holes(&packed, 1e-9), idle_holes(&owned, 1e-9));
+        assert_eq!(utilization_profile(&packed), utilization_profile(&owned));
+        let mut view = ViewState::fit(&owned);
+        let mut hits = 0;
+        for filter in [None, Some(0), Some(3), Some(9)] {
+            view.select_cluster(filter);
+            for align in [AlignMode::Aligned, AlignMode::Scaled] {
+                view.align = align;
+                for row in [-1.0, 0.0, 1.5, 4.0, 7.0, 8.0, 9.5, 11.0, 12.0, 40.0] {
+                    for t in [0.0, 0.5, 1.0, 2.0, 3.0, 3.5, 4.0, 5.5, 6.0, 9.0] {
+                        let hit = view.hit_test(&owned, t, row);
+                        hits += usize::from(matches!(hit, crate::view::HitTarget::Task(_)));
+                        assert_eq!(
+                            view.hit_test(&packed, t, row),
+                            hit,
+                            "{filter:?} {align:?} t={t} row={row}"
+                        );
+                    }
+                }
+            }
+        }
+        assert!(hits > 0);
+        assert!(!packed.is_materialized());
+        // Whole-schedule statistics and a clicked task's details don't
+        // materialize it either.
+        assert_eq!(schedule_stats(&packed), schedule_stats(&owned));
+        for ti in 0..s.tasks.len() {
+            assert_eq!(task_info(&packed, ti), task_info(&owned, ti));
+        }
+        assert!(!packed.is_materialized());
     }
 
     #[test]

@@ -5,10 +5,15 @@
 //! CRA example, the Quicksort ramp-up). These helpers quantify what the
 //! pictures show: per-host busy time, per-cluster utilization, and the
 //! explicit list of idle holes.
+//!
+//! Each helper reads a [`PreparedSchedule`]: its per-host interval index,
+//! cached extents and columns. Statistics of one bundle share one index,
+//! and a pack-backed bundle answers without materializing its tasks.
 
-use crate::align::{cluster_extent, TimeExtent};
-use crate::index::{ClusterIndex, IntervalSeq, ScheduleIndex};
+use crate::align::{AlignMode, TimeExtent};
+use crate::index::IntervalSeq;
 use crate::model::Schedule;
+use crate::prepared::PreparedSchedule;
 
 /// An idle interval on one host.
 #[derive(Debug, Clone, PartialEq)]
@@ -68,32 +73,20 @@ fn busy_intervals(seq: &IntervalSeq) -> Vec<(f64, f64)> {
     out
 }
 
-/// Busy intervals for every host row of one cluster.
-fn busy_per_host_rows(ci: &ClusterIndex, hosts: u32) -> Vec<Vec<(f64, f64)>> {
-    (0..hosts)
-        .map(|h| ci.host(h).map(busy_intervals).unwrap_or_default())
-        .collect()
-}
-
-/// Computes per-cluster statistics against the chosen extent
-/// (the cluster's local extent).
-pub fn cluster_stats(schedule: &Schedule, cluster: u32) -> Option<ClusterStats> {
-    let index = ScheduleIndex::build_with_hosts(schedule);
-    cluster_stats_indexed(schedule, &index, cluster)
-}
-
-/// [`cluster_stats`] against a pre-built index (must have host rows).
-pub fn cluster_stats_indexed(
-    schedule: &Schedule,
-    index: &ScheduleIndex,
-    cluster: u32,
-) -> Option<ClusterStats> {
-    let c = schedule.cluster(cluster)?;
-    let ci = index.cluster(cluster)?;
-    let extent = cluster_extent(schedule, cluster);
-    let busy: Vec<f64> = busy_per_host_rows(ci, c.hosts)
-        .iter()
-        .map(|iv| iv.iter().map(|(s, e)| e - s).sum())
+/// Computes per-cluster statistics against the cluster's local extent.
+pub fn cluster_stats(prep: &PreparedSchedule, cluster: u32) -> Option<ClusterStats> {
+    let c = prep.clusters().iter().find(|c| c.id == cluster)?;
+    let ci = prep.index().cluster(cluster)?;
+    let extent = prep.extent_for(cluster, AlignMode::Scaled);
+    let busy: Vec<f64> = (0..c.hosts)
+        .map(|h| {
+            ci.host(h)
+                .map(busy_intervals)
+                .unwrap_or_default()
+                .iter()
+                .map(|(s, e)| e - s)
+                .sum()
+        })
         .collect();
     let (utilization, idle) = match extent {
         Some(ext) if ext.span() > 0.0 => {
@@ -115,22 +108,30 @@ pub fn cluster_stats_indexed(
     })
 }
 
-/// Computes statistics for the whole schedule. The per-host interval index
-/// is built once and shared by every cluster's stats.
-pub fn schedule_stats(schedule: &Schedule) -> ScheduleStats {
-    let index = ScheduleIndex::build_with_hosts(schedule);
-    let per_cluster: Vec<ClusterStats> = schedule
-        .clusters
+/// Computes statistics for the whole schedule from the bundle's index,
+/// extents and columns — a pack-backed bundle is never materialized.
+pub fn schedule_stats(prep: &PreparedSchedule) -> ScheduleStats {
+    let per_cluster: Vec<ClusterStats> = prep
+        .clusters()
         .iter()
-        .filter_map(|c| cluster_stats_indexed(schedule, &index, c.id))
+        .filter_map(|c| cluster_stats(prep, c.id))
         .collect();
-    let makespan = schedule.makespan();
-    let total_area: f64 = schedule.tasks.iter().map(|t| t.area()).sum();
+    let makespan = prep.global_extent().map_or(0.0, |e| e.span());
+    // Σ duration × resources, with each task's resources summed over its
+    // host-lane segments (one per host range of each allocation).
+    let cols = prep.columns();
+    let total_area: f64 = (0..cols.len())
+        .map(|ti| {
+            let hosts: u32 = cols.segs(ti).map(|seg| seg.nrows).sum();
+            (cols.ends()[ti] - cols.starts()[ti]) * f64::from(hosts)
+        })
+        .sum();
     let total_busy: f64 = per_cluster
         .iter()
         .map(|cs| cs.busy_per_host.iter().sum::<f64>())
         .sum();
-    let cap = makespan * f64::from(schedule.total_hosts());
+    let total_hosts: u32 = prep.clusters().iter().map(|c| c.hosts).sum();
+    let cap = makespan * f64::from(total_hosts);
     let utilization = if cap > 0.0 {
         (total_busy / cap).clamp(0.0, 1.0)
     } else {
@@ -139,7 +140,7 @@ pub fn schedule_stats(schedule: &Schedule) -> ScheduleStats {
     ScheduleStats {
         per_cluster,
         makespan,
-        task_count: schedule.tasks.len(),
+        task_count: prep.task_count(),
         total_area,
         utilization,
     }
@@ -148,11 +149,11 @@ pub fn schedule_stats(schedule: &Schedule) -> ScheduleStats {
 /// Lists every idle hole of at least `min_duration` inside each host's
 /// cluster extent. The paper's MCPA case ("large holes that correspond to
 /// idle CPU time") is detected by exactly this scan.
-pub fn idle_holes(schedule: &Schedule, min_duration: f64) -> Vec<Hole> {
-    let index = ScheduleIndex::build_with_hosts(schedule);
+pub fn idle_holes(prep: &PreparedSchedule, min_duration: f64) -> Vec<Hole> {
+    let index = prep.index();
     let mut holes = Vec::new();
-    for c in &schedule.clusters {
-        let Some(ext) = cluster_extent(schedule, c.id) else {
+    for c in prep.clusters() {
+        let Some(ext) = prep.extent_for(c.id, AlignMode::Scaled) else {
             continue;
         };
         let Some(ci) = index.cluster(c.id) else {
@@ -191,21 +192,11 @@ pub fn idle_holes(schedule: &Schedule, min_duration: f64) -> Vec<Hole> {
 /// counting each host once even under overlapping tasks. This is the
 /// "how many processors are actually running" curve the Quicksort case
 /// study reads off the chart (2–4 processors during the holes).
-pub fn utilization_profile(schedule: &Schedule) -> Vec<(f64, u32)> {
-    let index = ScheduleIndex::build_with_hosts(schedule);
-    utilization_profile_indexed(&schedule.clusters, &index)
-}
-
-/// [`utilization_profile`] over a prebuilt per-host index and the cluster
-/// list alone — what render paths that hold a `PreparedSchedule` (owned
-/// or pack-backed) call, without touching the task structs.
-pub fn utilization_profile_indexed(
-    clusters: &[crate::model::Cluster],
-    index: &ScheduleIndex,
-) -> Vec<(f64, u32)> {
+pub fn utilization_profile(prep: &PreparedSchedule) -> Vec<(f64, u32)> {
+    let index = prep.index();
     // Per (cluster, host) busy intervals, merged; then a global sweep.
     let mut events: Vec<(f64, i32)> = Vec::new();
-    for c in clusters {
+    for c in prep.clusters() {
         let Some(ci) = index.cluster(c.id) else {
             continue;
         };
@@ -292,7 +283,7 @@ mod tests {
 
     #[test]
     fn busy_and_utilization() {
-        let st = cluster_stats(&s1(), 0).unwrap();
+        let st = cluster_stats(&PreparedSchedule::new(s1()), 0).unwrap();
         assert_eq!(st.busy_per_host, vec![3.0, 4.0]);
         // Extent [0,4] × 2 hosts = 8 capacity, 7 busy.
         assert!((st.utilization - 7.0 / 8.0).abs() < 1e-12);
@@ -309,14 +300,14 @@ mod tests {
             ],
             meta: Default::default(),
         };
-        let st = cluster_stats(&s, 0).unwrap();
+        let st = cluster_stats(&PreparedSchedule::borrowed(&s), 0).unwrap();
         assert_eq!(st.busy_per_host, vec![3.0]);
         assert!((st.utilization - 1.0).abs() < 1e-12);
     }
 
     #[test]
     fn holes_found_between_tasks() {
-        let holes = idle_holes(&s1(), 1e-9);
+        let holes = idle_holes(&PreparedSchedule::new(s1()), 1e-9);
         assert_eq!(holes.len(), 1);
         assert_eq!(holes[0].host, 0);
         assert_eq!((holes[0].start, holes[0].end), (2.0, 3.0));
@@ -325,7 +316,7 @@ mod tests {
 
     #[test]
     fn min_duration_filters_small_holes() {
-        assert!(idle_holes(&s1(), 1.5).is_empty());
+        assert!(idle_holes(&PreparedSchedule::new(s1()), 1.5).is_empty());
     }
 
     #[test]
@@ -340,7 +331,7 @@ mod tests {
 
     #[test]
     fn whole_schedule_stats() {
-        let st = schedule_stats(&s1());
+        let st = schedule_stats(&PreparedSchedule::new(s1()));
         assert_eq!(st.task_count, 3);
         assert_eq!(st.makespan, 4.0);
         assert!((st.total_area - 7.0).abs() < 1e-12);
@@ -355,16 +346,16 @@ mod tests {
             tasks: vec![],
             meta: Default::default(),
         };
-        let st = schedule_stats(&s);
+        let st = schedule_stats(&PreparedSchedule::borrowed(&s));
         assert_eq!(st.makespan, 0.0);
         assert_eq!(st.utilization, 0.0);
-        assert!(idle_holes(&s, 0.0).is_empty());
+        assert!(idle_holes(&PreparedSchedule::borrowed(&s), 0.0).is_empty());
     }
 
     #[test]
     fn profile_matches_pointwise_probe() {
         let s = s1();
-        let profile = utilization_profile(&s);
+        let profile = utilization_profile(&PreparedSchedule::borrowed(&s));
         // Breakpoints strictly increasing, values change at each.
         for w in profile.windows(2) {
             assert!(w[0].0 < w[1].0);
@@ -394,7 +385,7 @@ mod tests {
             ],
             meta: Default::default(),
         };
-        let profile = utilization_profile(&s);
+        let profile = utilization_profile(&PreparedSchedule::borrowed(&s));
         assert_eq!(profile, vec![(0.0, 1), (3.0, 0)]);
     }
 
@@ -409,7 +400,7 @@ mod tests {
             ],
             meta: Default::default(),
         };
-        let holes = idle_holes(&s, 1e-9);
+        let holes = idle_holes(&PreparedSchedule::borrowed(&s), 1e-9);
         assert_eq!(holes.len(), 1);
         assert_eq!(holes[0].host, 1);
         assert_eq!((holes[0].start, holes[0].end), (2.0, 4.0));

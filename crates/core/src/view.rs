@@ -8,9 +8,8 @@
 //! terminal UI, or a GUI toolkit) can drive it; this also makes the
 //! interactive behaviour unit-testable.
 
-use crate::align::{extent_for, AlignMode, TimeExtent};
-use crate::index::ScheduleIndex;
-use crate::model::{Schedule, Task};
+use crate::align::{AlignMode, TimeExtent};
+use crate::prepared::PreparedSchedule;
 
 /// The visible window over a schedule: a time range × a global row range.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -36,7 +35,7 @@ impl Viewport {
 /// What a hit test found.
 #[derive(Debug, Clone, PartialEq)]
 pub enum HitTarget {
-    /// A task (index into `schedule.tasks`).
+    /// A task (index into the schedule's tasks).
     Task(usize),
     /// An idle spot on `(cluster, host)`.
     Idle { cluster: u32, host: u32 },
@@ -72,9 +71,10 @@ pub struct ViewState {
 
 impl ViewState {
     /// A view fitted to the whole schedule.
-    pub fn fit(schedule: &Schedule) -> ViewState {
-        let ext = crate::align::global_extent(schedule).unwrap_or(TimeExtent::new(0.0, 1.0));
-        let rows = f64::from(schedule.total_hosts().max(1));
+    pub fn fit(prep: &PreparedSchedule) -> ViewState {
+        let ext = prep.global_extent().unwrap_or(TimeExtent::new(0.0, 1.0));
+        let hosts: u32 = prep.clusters().iter().map(|c| c.hosts).sum();
+        let rows = f64::from(hosts.max(1));
         let vp = Viewport {
             t0: ext.start,
             t1: if ext.span() > 0.0 {
@@ -167,91 +167,64 @@ impl ViewState {
         self.cluster_filter = cluster;
     }
 
-    /// Hit test at `(t, row)` in schedule coordinates.
+    /// Hit test at `(t, row)` in schedule coordinates, answered from the
+    /// bundle's per-host interval index in O(log n + k) — what an
+    /// interactive front-end wants on every mouse move over a
+    /// million-task trace.
     ///
     /// When several tasks overlap at the point (a composite situation), the
     /// one that started last wins — that is the rectangle drawn on top.
-    pub fn hit_test(&self, schedule: &Schedule, t: f64, row: f64) -> HitTarget {
-        self.hit_test_impl(schedule, None, t, row)
-    }
-
-    /// [`ViewState::hit_test`] against a pre-built per-host interval index
-    /// — O(log n + k) per probe instead of a full task scan, which is what
-    /// an interactive front-end wants on every mouse move over a
-    /// million-task trace. The index must have been built with host rows
-    /// ([`ScheduleIndex::build_with_hosts`]).
-    pub fn hit_test_indexed(
-        &self,
-        schedule: &Schedule,
-        index: &ScheduleIndex,
-        t: f64,
-        row: f64,
-    ) -> HitTarget {
-        self.hit_test_impl(schedule, Some(index), t, row)
-    }
-
-    fn hit_test_impl(
-        &self,
-        schedule: &Schedule,
-        index: Option<&ScheduleIndex>,
-        t: f64,
-        row: f64,
-    ) -> HitTarget {
+    pub fn hit_test(&self, prep: &PreparedSchedule, t: f64, row: f64) -> HitTarget {
         if row < 0.0 {
             return HitTarget::Nothing;
         }
-        let Some((cluster, host)) = schedule.row_to_host(row.floor() as u32) else {
+        // Clusters stack in declaration order.
+        let mut local = row.floor() as u32;
+        let Some(c) = prep.clusters().iter().find(|c| {
+            let here = local < c.hosts;
+            if !here {
+                local -= c.hosts;
+            }
+            here
+        }) else {
             return HitTarget::Nothing;
         };
-        if let Some(f) = self.cluster_filter {
-            if f != cluster {
-                return HitTarget::Nothing;
-            }
+        let (cluster, host) = (c.id, local);
+        if self.cluster_filter.is_some_and(|f| f != cluster) {
+            return HitTarget::Nothing;
         }
-        // Latest start wins (the rectangle drawn on top); candidates are
-        // visited in ascending task index either way, so ties resolve
-        // identically with and without the index.
+        // Latest start wins (the rectangle drawn on top); candidates come
+        // in ascending task index, so the lowest index wins a tie.
+        let starts = prep.columns().starts();
+        let ends = prep.columns().ends();
         let mut best: Option<usize> = None;
-        let mut consider = |i: usize, task: &Task| {
-            if task.start <= t && t < task.end {
+        let candidates = prep
+            .index()
+            .cluster(cluster)
+            .map(|ci| ci.query_host(host, t, t));
+        for i in candidates.unwrap_or_default() {
+            if starts[i] <= t && t < ends[i] {
                 match best {
-                    Some(b) if schedule.tasks[b].start >= task.start => {}
+                    Some(b) if starts[b] >= starts[i] => {}
                     _ => best = Some(i),
-                }
-            }
-        };
-        match index.and_then(|ix| ix.cluster(cluster)) {
-            Some(ci) if ci.host(host).is_some() => {
-                for i in ci.query_host(host, t, t) {
-                    consider(i, &schedule.tasks[i]);
-                }
-            }
-            _ => {
-                for (i, task) in schedule.tasks.iter().enumerate() {
-                    if task.occupies(cluster, host) {
-                        consider(i, task);
-                    }
                 }
             }
         }
         match best {
             Some(i) => HitTarget::Task(i),
-            None => {
-                let ext = extent_for(schedule, cluster, self.align);
-                match ext {
-                    Some(e) if e.contains(t) => HitTarget::Idle { cluster, host },
-                    _ => HitTarget::Nothing,
-                }
-            }
+            None => match prep.extent_for(cluster, self.align) {
+                Some(e) if e.contains(t) => HitTarget::Idle { cluster, host },
+                _ => HitTarget::Nothing,
+            },
         }
     }
 
     /// Clicks a task: selects it and returns its info popup.
-    pub fn click(&mut self, schedule: &Schedule, t: f64, row: f64) -> Option<TaskInfo> {
-        match self.hit_test(schedule, t, row) {
+    pub fn click(&mut self, prep: &PreparedSchedule, t: f64, row: f64) -> Option<TaskInfo> {
+        match self.hit_test(prep, t, row) {
             HitTarget::Task(i) => {
                 self.selected_task = Some(i);
-                Some(task_info(schedule, i))
+                Some(task_info(prep, i))
             }
             _ => {
                 self.selected_task = None;
@@ -261,9 +234,10 @@ impl ViewState {
     }
 }
 
-/// Builds the detail view for task `index`.
-pub fn task_info(schedule: &Schedule, index: usize) -> TaskInfo {
-    let t = &schedule.tasks[index];
+/// Builds the detail view for task `index`. A pack-backed bundle builds
+/// that one task, never the whole schedule.
+pub fn task_info(prep: &PreparedSchedule, index: usize) -> TaskInfo {
+    let t = prep.task(index);
     TaskInfo {
         id: t.id.clone(),
         kind: t.kind.clone(),
@@ -274,8 +248,10 @@ pub fn task_info(schedule: &Schedule, index: usize) -> TaskInfo {
             .allocations
             .iter()
             .map(|a| {
-                let name = schedule
-                    .cluster(a.cluster)
+                let name = prep
+                    .clusters()
+                    .iter()
+                    .find(|c| c.id == a.cluster)
                     .map(|c| c.name.clone())
                     .unwrap_or_else(|| format!("cluster {}", a.cluster));
                 (a.cluster, name, a.hosts.to_string())
@@ -288,9 +264,14 @@ pub fn task_info(schedule: &Schedule, index: usize) -> TaskInfo {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::{Allocation, Cluster, Task};
+    use crate::align::scan::extent_for;
+    use crate::model::{Allocation, Cluster, Schedule, Task};
 
-    fn sched() -> Schedule {
+    fn sched() -> PreparedSchedule<'static> {
+        PreparedSchedule::new(schedule())
+    }
+
+    fn schedule() -> Schedule {
         Schedule {
             clusters: vec![Cluster::new(0, "c0", 4), Cluster::new(1, "c1", 2)],
             tasks: vec![
@@ -411,11 +392,40 @@ mod tests {
         assert_eq!(v.selected_task, None);
     }
 
+    /// The reference hit test: scans every task of the schedule.
+    fn scan_hit_test(v: &ViewState, schedule: &Schedule, t: f64, row: f64) -> HitTarget {
+        if row < 0.0 {
+            return HitTarget::Nothing;
+        }
+        let Some((cluster, host)) = schedule.row_to_host(row.floor() as u32) else {
+            return HitTarget::Nothing;
+        };
+        if v.cluster_filter.is_some_and(|f| f != cluster) {
+            return HitTarget::Nothing;
+        }
+        let mut best: Option<usize> = None;
+        for (i, task) in schedule.tasks.iter().enumerate() {
+            if task.occupies(cluster, host) && task.start <= t && t < task.end {
+                match best {
+                    Some(b) if schedule.tasks[b].start >= task.start => {}
+                    _ => best = Some(i),
+                }
+            }
+        }
+        match best {
+            Some(i) => HitTarget::Task(i),
+            None => match extent_for(schedule, cluster, v.align) {
+                Some(e) if e.contains(t) => HitTarget::Idle { cluster, host },
+                _ => HitTarget::Nothing,
+            },
+        }
+    }
+
     #[test]
     fn indexed_hit_test_agrees_with_scan() {
-        let s = sched();
-        let index = ScheduleIndex::build_with_hosts(&s);
-        let mut v = ViewState::fit(&s);
+        let s = schedule();
+        let prep = PreparedSchedule::borrowed(&s);
+        let mut v = ViewState::fit(&prep);
         let probes: Vec<(f64, f64)> = vec![
             (6.0, 1.0),
             (1.0, 1.0),
@@ -428,16 +438,16 @@ mod tests {
         ];
         for &(t, row) in &probes {
             assert_eq!(
-                v.hit_test_indexed(&s, &index, t, row),
-                v.hit_test(&s, t, row),
+                v.hit_test(&prep, t, row),
+                scan_hit_test(&v, &s, t, row),
                 "probe t={t} row={row}"
             );
         }
         v.select_cluster(Some(1));
         for &(t, row) in &probes {
             assert_eq!(
-                v.hit_test_indexed(&s, &index, t, row),
-                v.hit_test(&s, t, row),
+                v.hit_test(&prep, t, row),
+                scan_hit_test(&v, &s, t, row),
                 "filtered probe t={t} row={row}"
             );
         }
@@ -450,7 +460,7 @@ mod tests {
             tasks: vec![],
             meta: Default::default(),
         };
-        let v = ViewState::fit(&s);
+        let v = ViewState::fit(&PreparedSchedule::new(s));
         assert!(v.viewport.time_span() > 0.0);
         assert_eq!(v.viewport.r1, 2.0);
     }

@@ -43,7 +43,7 @@ proptest! {
         span in -5.0f64..50.0, // negative spans → empty window, also covered
     ) {
         let t1 = t0 + span;
-        let idx = ScheduleIndex::build(&s);
+        let idx = ScheduleIndex::build_with_hosts(&s);
         for c in &s.clusters {
             let fast = idx
                 .cluster(c.id)
@@ -74,7 +74,7 @@ proptest! {
 
     #[test]
     fn point_queries_match(s in arb_schedule(), t in -5.0f64..125.0) {
-        let idx = ScheduleIndex::build(&s);
+        let idx = ScheduleIndex::build_with_hosts(&s);
         for c in &s.clusters {
             let fast = idx
                 .cluster(c.id)

@@ -223,7 +223,7 @@ fn arb_schedule() -> BoxedStrategy<Schedule> {
 }
 
 fn pack_of(s: &Schedule) -> Vec<u8> {
-    write_pack(&PreparedSchedule::new(s.clone()), source_digest(SRC)).expect("pack writes")
+    write_pack(&PreparedSchedule::new(s.clone()), source_digest(SRC), 1).expect("pack writes")
 }
 
 #[test]

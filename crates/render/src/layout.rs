@@ -309,7 +309,7 @@ pub fn layout_prepared_scratch(
     // A pack presets the composite sweep; a text bundle runs it once,
     // building its host-row interval index on the way.
     let composites: &[Task] = if opts.show_composites {
-        prep.composites()
+        prep.composites(opts.threads)
     } else {
         &[]
     };
@@ -377,8 +377,6 @@ fn draw_profile(
     plot_w: f64,
     y: f64,
 ) {
-    use jedule_core::stats::utilization_profile_indexed;
-
     let h = PROFILE_H - 14.0;
     let Some(ext) = prep.global_extent() else {
         return;
@@ -396,7 +394,7 @@ fn draw_profile(
 
     scene.rect_stroked(plot_x, y, plot_w, h, Color::WHITE, Color::new(60, 60, 60));
     let fill = Color::new(0x9d, 0xc3, 0xe6);
-    let profile = utilization_profile_indexed(prep.clusters(), prep.index());
+    let profile = jedule_core::stats::utilization_profile(prep);
     for (i, &(t, busy)) in profile.iter().enumerate() {
         if busy == 0 {
             continue;

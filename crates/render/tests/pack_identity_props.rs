@@ -24,6 +24,7 @@ fn pack_bytes(s: &Schedule) -> Vec<u8> {
     snap::write_pack(
         &PreparedSchedule::new(s.clone()),
         snap::source_digest(b"id"),
+        1,
     )
     .expect("pack writes")
 }

@@ -12,7 +12,7 @@
 //! ids) have finished, and (b) all its processors are idle. *Conservative*
 //! means no task ever starts later than before, by construction.
 
-use jedule_core::{Schedule, Task};
+use jedule_core::{PreparedSchedule, Schedule, Task};
 
 /// Outcome of a backfilling pass.
 #[derive(Debug, Clone, PartialEq)]
@@ -56,7 +56,7 @@ where
     F: Fn(usize, usize) -> bool,
 {
     let idle = |s: &Schedule| -> f64 {
-        jedule_core::stats::schedule_stats(s)
+        jedule_core::stats::schedule_stats(&PreparedSchedule::borrowed(s))
             .per_cluster
             .iter()
             .map(|c| c.idle_time)

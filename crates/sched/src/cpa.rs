@@ -210,11 +210,12 @@ mod tests {
     #[test]
     fn mcpa_schedule_has_more_idle_time() {
         use jedule_core::stats::schedule_stats;
+        use jedule_core::PreparedSchedule;
         let d = fig4_dag();
         let cpa = schedule_dag(&d, 16, 1.0, CpaVariant::Cpa);
         let mcpa = schedule_dag(&d, 16, 1.0, CpaVariant::Mcpa);
-        let u_cpa = schedule_stats(&cpa.schedule).utilization;
-        let u_mcpa = schedule_stats(&mcpa.schedule).utilization;
+        let u_cpa = schedule_stats(&PreparedSchedule::borrowed(&cpa.schedule)).utilization;
+        let u_mcpa = schedule_stats(&PreparedSchedule::borrowed(&mcpa.schedule)).utilization;
         assert!(u_cpa > u_mcpa, "CPA utilization {u_cpa} !> MCPA {u_mcpa}");
     }
 

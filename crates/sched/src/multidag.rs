@@ -611,9 +611,10 @@ mod tests {
         // The Fig. 5 observation: "processors 17 to 19 are clearly
         // underused" — with skewed shares, some partitions idle longer.
         use jedule_core::stats::cluster_stats;
+        use jedule_core::PreparedSchedule;
         let dags = four_apps();
         let r = schedule_multi_dag(&dags, 20, 1.0, CraPolicy::Equal);
-        let st = cluster_stats(&r.schedule, 0).unwrap();
+        let st = cluster_stats(&PreparedSchedule::borrowed(&r.schedule), 0).unwrap();
         let busy = &st.busy_per_host;
         let max_busy = busy.iter().copied().fold(0.0, f64::max);
         let min_busy = busy.iter().copied().fold(f64::INFINITY, f64::min);

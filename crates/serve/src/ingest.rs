@@ -189,7 +189,7 @@ mod tests {
             assert_eq!(digest, snap::source_digest(csv(3).as_bytes()));
             assert_eq!(text.task_count(), 3);
 
-            snap::write_pack_file(&text, digest, &pack).unwrap();
+            snap::write_pack_file(&text, digest, &pack, threads).unwrap();
             let (hit_digest, hit, sidecar) = acquire(&path, threads, None).unwrap();
             assert!(matches!(sidecar, Sidecar::Hit));
             assert_eq!(hit_digest, digest);

@@ -466,6 +466,7 @@ fn write_sidecar(root: &std::path::Path, csv: &str, stamp: &[u8]) {
         &prep,
         snap::source_digest(stamp),
         &snap::sidecar_path(&input),
+        1,
     )
     .unwrap();
 }

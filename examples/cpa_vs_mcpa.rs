@@ -50,8 +50,9 @@ fn main() {
 
     println!("Fig. 4 scenario on {FIG4_PROCS} processors:");
     for (name, r) in [("CPA", &cpa), ("MCPA", &mcpa), ("MCPA2", &poly)] {
-        let stats = schedule_stats(&r.schedule);
-        let holes = idle_holes(&r.schedule, 1.0);
+        let prep = PreparedSchedule::borrowed(&r.schedule);
+        let stats = schedule_stats(&prep);
+        let holes = idle_holes(&prep, 1.0);
         println!(
             "  {name:<6} makespan {:8.2}  utilization {:5.1} %  holes>1s {:3}  (T_CP {:.1}, T_A {:.1})",
             r.makespan,

@@ -70,9 +70,10 @@ fn main() {
 
     // Interactive-mode semantics without a GUI: zoom, then inspect the
     // task under the "mouse".
-    let mut view = ViewState::fit(&schedule);
+    let prep = PreparedSchedule::borrowed(&schedule);
+    let mut view = ViewState::fit(&prep);
     view.zoom_time(0.5, 0.3);
-    if let Some(info) = view.click(&schedule, 0.25, 3.0) {
+    if let Some(info) = view.click(&prep, 0.25, 3.0) {
         println!(
             "clicked task {} [{}]: {:.3}..{:.3} on {:?}",
             info.id,

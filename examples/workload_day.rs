@@ -53,7 +53,7 @@ fn main() {
     };
 
     let schedule = jobs_to_schedule(&jobs, &opts);
-    let stats = schedule_stats(&schedule);
+    let stats = schedule_stats(&PreparedSchedule::borrowed(&schedule));
     let highlighted = schedule
         .tasks
         .iter()

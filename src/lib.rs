@@ -50,8 +50,8 @@ pub use jedule_xmlio as xmlio;
 /// The most common imports in one place.
 pub mod prelude {
     pub use jedule_core::{
-        AlignMode, Allocation, Cluster, Color, ColorMap, ColorPair, HostRange, HostSet, Schedule,
-        ScheduleBuilder, Task, ViewState,
+        AlignMode, Allocation, Cluster, Color, ColorMap, ColorPair, HostRange, HostSet,
+        PreparedSchedule, Schedule, ScheduleBuilder, Task, ViewState,
     };
     pub use jedule_render::{render, render_to_file, OutputFormat, RenderOptions};
     pub use jedule_xmlio::{read_schedule, write_schedule_string};

@@ -20,7 +20,7 @@ fn case_study_mtask_scheduling() {
     // Fig. 4 claims.
     assert!(cpa.makespan < mcpa.makespan);
     assert_eq!(poly.makespan, cpa.makespan);
-    let u = |s: &Schedule| schedule_stats(s).utilization;
+    let u = |s: &Schedule| schedule_stats(&PreparedSchedule::borrowed(s)).utilization;
     assert!(
         u(&cpa.schedule) > 2.0 * u(&mcpa.schedule),
         "MCPA leaves big holes"

@@ -144,10 +144,7 @@ fn check_trace_nesting(s: &Schedule, threads: usize) {
     for span in &report.spans {
         let Some(pid) = span.parent else { continue };
         let parent = report.find(pid).expect("parent span exists");
-        // The bundle's composite sweep runs on the machine's cores
-        // whatever `threads` says, so its workers nest across threads
-        // even at one render worker.
-        if threads == 1 && span.name != "composite.sweep" {
+        if threads == 1 {
             prop_assert_eq!(parent.thread, span.thread, "parents are per-thread");
         }
         cross_thread += usize::from(parent.thread != span.thread);

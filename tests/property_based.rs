@@ -1,6 +1,5 @@
 //! Property-based tests over the core invariants, spanning crates.
 
-use jedule::core::composite::{composite_tasks, CompositeOptions};
 use jedule::core::stats::schedule_stats;
 use jedule::prelude::*;
 use proptest::prelude::*;
@@ -53,8 +52,8 @@ proptest! {
     /// every composite interval is covered by all of its constituents.
     #[test]
     fn composites_are_sound(s in arb_schedule(16)) {
-        let comps = composite_tasks(&s, &CompositeOptions::default());
-        for c in &comps {
+        let prep = PreparedSchedule::borrowed(&s);
+        for c in prep.composites(0) {
             let ids: Vec<&str> = c
                 .attrs
                 .iter()
@@ -80,7 +79,7 @@ proptest! {
     /// task interval.
     #[test]
     fn stats_invariants(s in arb_schedule(24)) {
-        let st = schedule_stats(&s);
+        let st = schedule_stats(&PreparedSchedule::borrowed(&s));
         prop_assert!((0.0..=1.0).contains(&st.utilization));
         let lo = s.min_start().unwrap();
         let hi = s.max_end().unwrap();
@@ -93,7 +92,7 @@ proptest! {
     /// ViewState zoom/pan never escapes the full extent.
     #[test]
     fn view_clamping(s in arb_schedule(12), ops in proptest::collection::vec((0..3u8, -50.0..50.0f64, 0.1..4.0f64), 1..20)) {
-        let mut v = ViewState::fit(&s);
+        let mut v = ViewState::fit(&PreparedSchedule::borrowed(&s));
         let full = v.viewport;
         for (op, amount, factor) in ops {
             match op {
