@@ -179,17 +179,18 @@ impl ViewState {
             return HitTarget::Nothing;
         }
         // Clusters stack in declaration order.
-        let mut local = row.floor() as u32;
-        let Some(c) = prep.clusters().iter().find(|c| {
-            let here = local < c.hosts;
-            if !here {
-                local -= c.hosts;
+        let mut host = row.floor() as u32;
+        let mut hit = None;
+        for c in prep.clusters() {
+            if host < c.hosts {
+                hit = Some(c.id);
+                break;
             }
-            here
-        }) else {
+            host -= c.hosts;
+        }
+        let Some(cluster) = hit else {
             return HitTarget::Nothing;
         };
-        let (cluster, host) = (c.id, local);
         if self.cluster_filter.is_some_and(|f| f != cluster) {
             return HitTarget::Nothing;
         }
